@@ -31,7 +31,6 @@ from .solution import (
     shear_stress_sg_closed,
     steady_part,
     velocity,
-    velocity_inner_rest,
     velocity_sg_closed,
 )
 from .special import (
@@ -42,8 +41,6 @@ from .special import (
     cross_b,
     cross_b1,
     g_function,
-    ln_gamma,
-    signed_log_sum,
 )
 
 __version__ = "0.1.0"
@@ -80,15 +77,12 @@ __all__ = [
     "invert_mode_stress_kernel",
     "invert_mode_velocity_kernel",
     "invert_stehfest",
-    "ln_gamma",
     "mode_coefficients",
     "shear_stress",
     "shear_stress_sg_closed",
-    "signed_log_sum",
     "solve",
     "steady_part",
     "stehfest_weights",
     "velocity",
-    "velocity_inner_rest",
     "velocity_sg_closed",
 ]

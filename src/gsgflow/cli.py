@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -81,7 +82,8 @@ class RunConfig:
     timestamp: bool = True
 
     def eigenvalues(self, n: Optional[int] = None) -> EigenvalueSet:
-        n = n or self.controls.n_modes
+        if n is None:
+            n = self.controls.n_modes
         if self.approx_roots:
             return approx_roots(self.geometry.R1, self.geometry.R2, n)
         return find_roots(self.geometry.R1, self.geometry.R2, n)
@@ -128,8 +130,8 @@ def build_config(args) -> RunConfig:
         geometry = AnnulusGeometry(R1=num("r1"), R2=num("r2"),
                                    Omega1=num("omega1"), Omega2=num("omega2"))
         controls = SeriesControls(
-            n_modes=args.modes or num("n_modes", int),
-            tol_rel=args.tol or num("tol_rel"),
+            n_modes=num("n_modes", int) if args.modes is None else args.modes,
+            tol_rel=num("tol_rel") if args.tol is None else args.tol,
             max_terms=num("max_terms", int),
             strategy=_STRATEGIES[strategy_name],
         )
@@ -201,7 +203,9 @@ def _curve_family(config: RunConfig, betas: list) -> list:
     return fam
 
 
-def _velocity_for(tag: float, params: FluidParams, config: RunConfig, eig, r: float, t: float) -> float:
+def _velocity_for(params: FluidParams, config: RunConfig, eig, r: np.ndarray,
+                  t: float) -> np.ndarray:
+    """omega at the radii r at time t: one block, so the kernels are built once."""
     if params.beta == 1.0:
         return velocity_sg_closed(params, config.geometry, eig, r, t, config.controls).omega
     return velocity(params, config.geometry, eig, r, t, config.controls).omega
@@ -224,18 +228,17 @@ def cmd_roots(config: RunConfig, args) -> int:
 
 def cmd_profile(config: RunConfig, args) -> int:
     t = args.t
-    if t < 0.0:
-        raise ConfigError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"t must be finite and >= 0, got {t!r}")
     betas = _beta_list(args.betas)
     if args.r_steps < 2:
         raise ConfigError("r-steps must be >= 2")
     r_values = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
     family = _curve_family(config, betas)
     eig = config.eigenvalues()
-    rows = []
-    for r in r_values:
-        for tag, params in family:
-            rows.append((r, tag, _velocity_for(tag, params, config, eig, float(r), t)))
+    curves = [_velocity_for(params, config, eig, r_values, t) for _, params in family]
+    rows = [(r, tag, omega[i]) for i, r in enumerate(r_values)
+            for (tag, _), omega in zip(family, curves)]
     _write_table(args.out, args.format, ["r", "beta", "omega"], rows, config.timestamp)
     return EXIT_OK
 
@@ -245,8 +248,8 @@ def cmd_history(config: RunConfig, args) -> int:
     for r in r_list:
         if not config.geometry.R1 <= r <= config.geometry.R2:
             raise ConfigError(f"r={r} outside the annulus")
-    if args.t_max <= 0.0:
-        raise ConfigError("t-max must be > 0")
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
     if args.t_steps < 1:
         raise ConfigError("t-steps must be >= 1")
     betas = _beta_list(args.betas)
@@ -255,11 +258,12 @@ def cmd_history(config: RunConfig, args) -> int:
         t_values = t_values[1:]
     family = _curve_family(config, betas)
     eig = config.eigenvalues()
+    radii = np.array(r_list)
     rows = []
     for t in t_values:
-        for r in r_list:
-            for tag, params in family:
-                rows.append((t, r, tag, _velocity_for(tag, params, config, eig, r, float(t))))
+        curves = [_velocity_for(params, config, eig, radii, float(t)) for _, params in family]
+        rows.extend((t, r, tag, omega[i]) for i, r in enumerate(r_list)
+                    for (tag, _), omega in zip(family, curves))
     _write_table(args.out, args.format, ["t", "r", "beta", "omega"], rows, config.timestamp)
     return EXIT_OK
 
@@ -269,26 +273,28 @@ def cmd_stress(config: RunConfig, args) -> int:
     eig = config.eigenvalues()
     rows = []
     if args.t_max is not None:
-        r_list = _float_list(args.r_list, "r")
+        if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+            raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
+        radii = np.array(_float_list(args.r_list, "r"))
         if args.t_steps < 1:
             raise ConfigError("t-steps must be >= 1")
-        t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)[1:]
-        sweep = [(r, float(t)) for t in t_values for r in r_list]
+        t_values = [float(t) for t in np.linspace(0.0, args.t_max, args.t_steps + 1)[1:]]
     else:
-        t = args.t
+        if not (math.isfinite(args.t) and args.t >= 0.0):
+            raise ConfigError(f"t must be finite and >= 0, got {args.t!r}")
         if args.r_steps < 2:
             raise ConfigError("r-steps must be >= 2")
-        sweep = [(float(r), t) for r in
-                 np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)]
-    for beta in betas:
-        if beta < 1.0 and any(t == 0.0 for _, t in sweep):
-            raise ConfigError("shear stress requires t > 0 for beta < 1")
-    for r, t in sweep:
-        for beta in betas:
-            params = FluidParams(mu=config.params.mu, alpha1=config.params.alpha1,
-                                 rho=config.params.rho, beta=beta)
-            tau = shear_stress(params, config.geometry, eig, r, t, config.controls).tau
-            rows.append((r, t, beta, tau))
+        radii = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
+        t_values = [args.t]
+    if any(beta < 1.0 for beta in betas) and 0.0 in t_values:
+        raise ConfigError("shear stress requires t > 0 for beta < 1")
+    family = [FluidParams(mu=config.params.mu, alpha1=config.params.alpha1,
+                          rho=config.params.rho, beta=beta) for beta in betas]
+    for t in t_values:
+        curves = [shear_stress(params, config.geometry, eig, radii, t, config.controls).tau
+                  for params in family]
+        rows.extend((r, t, beta, tau[i]) for i, r in enumerate(radii)
+                    for beta, tau in zip(betas, curves))
     _write_table(args.out, args.format, ["r", "t", "beta", "tau"], rows, config.timestamp)
     return EXIT_OK
 

@@ -1,13 +1,16 @@
 """Exact solution fields for start-up rotation of a generalized second
 grade fluid in an annulus: velocity, shear stress, the beta = 1 closed
-forms, the Newtonian limit and the inner-cylinder-at-rest case.
+forms and the Newtonian limit (Omega1 = 0 gives the inner cylinder at
+rest).
 
-The velocity is a steady t-linear profile minus pi * sum over radial
-modes, each mode weighted by a wall cross-product and a time kernel.
-Kernels can be evaluated three ways (double power series, G-function
-series, numerical Laplace inversion); they agree where they all converge
-and the series routes refuse loudly where double precision cannot carry
-the cancellation.
+Every field is evaluated on a block of radii at one time t: a steady
+t-linear part plus or minus pi * sum over radial modes n of
+Phi_n(r) C_n K_n(t), with Phi_n a wall cross-product, C_n fixed by the
+wall accelerations and K_n a time kernel that does not depend on r, so a
+block builds its kernels once. Kernels can be evaluated three ways
+(double power series, G-function series, numerical Laplace inversion);
+they agree where they all converge and the series routes refuse loudly
+where double precision cannot carry the cancellation.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ class FluidParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("mu", "alpha1", "rho", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mu <= 0.0:
             raise ValueError("mu must be > 0")
         if self.rho <= 0.0:
@@ -76,27 +82,41 @@ class AnnulusGeometry:
     Omega2: float
 
     def __post_init__(self):
+        for name in ("R1", "R2", "Omega1", "Omega2"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 < self.R1 < self.R2):
             raise GeometryError(f"need 0 < R1 < R2, got R1={self.R1!r}, R2={self.R2!r}")
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One evaluated point of the flow field."""
+    """A field evaluated on a block of radii at one time t.
 
-    r: float
+    r, omega and tau have the shape of the radii requested: scalars for one
+    radius, 1-D arrays for an array of radii. A velocity sample carries
+    tau = None, a shear stress sample omega = nan.
+    """
+
+    r: float | np.ndarray
     t: float
-    omega: float
-    tau: Optional[float]
+    omega: float | np.ndarray
+    tau: Optional[float | np.ndarray]
     strategy_used: str
     modes_used: int
 
 
-def _check_point(geometry: AnnulusGeometry, r: float, t: float) -> None:
-    if not geometry.R1 <= r <= geometry.R2:
-        raise DomainError(f"r={r!r} outside annulus [{geometry.R1}, {geometry.R2}]")
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+def _radii(geometry: AnnulusGeometry, r, t: float) -> np.ndarray:
+    """r as a float array (0-d for one radius) once every radius is checked
+    to lie in the annulus and t to be a finite time >= 0."""
+    r = np.asarray(r, dtype=float)
+    inside = (geometry.R1 <= r) & (r <= geometry.R2)
+    if not np.all(inside):
+        outside = float(np.extract(~inside, r)[0])
+        raise DomainError(f"r={outside!r} outside annulus [{geometry.R1}, {geometry.R2}]")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be finite and >= 0, got t={t!r}")
+    return r
 
 
 def _check_eigenvalues(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, n_modes: int) -> None:
@@ -113,9 +133,10 @@ def _check_eigenvalues(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, n_
         )
 
 
-def steady_part(geometry: AnnulusGeometry, r: float, t: float) -> float:
-    """The t-linear large-time profile (first term of the velocity field)."""
-    _check_point(geometry, r, t)
+def steady_part(geometry: AnnulusGeometry, r, t: float):
+    """The t-linear large-time profile (first term of the velocity field)
+    at a radius or a 1-D array of radii."""
+    r = _radii(geometry, r, t)
     R1, R2 = geometry.R1, geometry.R2
     num = geometry.Omega1 * R1**2 * (R2**2 - r**2) + geometry.Omega2 * R2**2 * (r**2 - R1**2)
     return num / ((R2**2 - R1**2) * r) * t
@@ -404,62 +425,73 @@ def _mode_kernels(params: FluidParams, eigenvalues: EigenvalueSet, t: float,
 # field evaluation
 
 
-def velocity(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-             r: float, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """Azimuthal velocity at one point, by the selected kernel strategy.
+def _mode_sum(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, r: np.ndarray,
+              kernels: np.ndarray, stress: bool = False) -> np.ndarray:
+    """pi * sum_n Phi[r, n] C_n K[n], the series part of every field.
 
-    t = 0 short-circuits to the exact initial condition omega = 0.
+    r is a checked 0-d or 1-D radius array; kernels is K[mode] at one t or
+    K[mode, t] over a time grid, and the result has shape
+    r.shape + kernels.shape[1:]. Phi_n(r) is B1(r r_n) for the velocity and
+    2 B1(r r_n)/r - r_n B(r r_n) for the shear stress, built in one
+    broadcast call per cross-product.
     """
-    _check_point(geometry, r, t)
+    n = kernels.shape[0]
+    rn = eigenvalues.roots[:n]
+    rc = r[..., None]
+    phi = cross_b1(rc, rn, geometry.R2)
+    if stress:
+        phi = 2.0 * phi / rc - rn * cross_b(rc, rn, geometry.R2)
+    coeffs = mode_coefficients(geometry, eigenvalues)[:n]
+    return math.pi * (phi @ (coeffs * kernels.T).T)
+
+
+def _velocity_sample(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, r: np.ndarray,
+                     t: float, kernels: np.ndarray, tag: str) -> FieldSample:
+    omega = steady_part(geometry, r, t) - _mode_sum(geometry, eigenvalues, r, kernels)
+    return FieldSample(r=r[()], t=t, omega=omega, tau=None, strategy_used=tag,
+                       modes_used=len(kernels))
+
+
+def velocity(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
+             r, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
+    """Azimuthal velocity on a block of radii at one time t, by the selected
+    kernel strategy.
+
+    r is a radius or a 1-D array of radii; the mode kernels K_n(t) are built
+    once for the whole block. t = 0 short-circuits to the exact initial
+    condition omega = 0.
+    """
+    r = _radii(geometry, r, t)
     _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
     if t == 0.0:
-        return FieldSample(r=r, t=t, omega=0.0, tau=None, strategy_used="zero-time", modes_used=0)
+        return FieldSample(r=r[()], t=t, omega=np.zeros_like(r)[()], tau=None,
+                           strategy_used="zero-time", modes_used=0)
     kernels, tag = _mode_kernels(params, eigenvalues, t, controls, stress=False)
-    omega = _assemble_velocity(geometry, eigenvalues, r, t, kernels)
-    return FieldSample(r=r, t=t, omega=omega, tau=None, strategy_used=tag,
-                       modes_used=controls.n_modes)
-
-
-def _assemble_velocity(geometry, eigenvalues, r, t, kernels) -> float:
-    n = len(kernels)
-    rn = eigenvalues.roots[:n]
-    coeffs = mode_coefficients(geometry, eigenvalues)[:n]
-    b1 = np.array([cross_b1(r, x, geometry.R2) for x in rn])
-    series = math.fsum(coeffs[i] * b1[i] * kernels[i] for i in range(n))
-    return steady_part(geometry, r, t) - math.pi * series
+    return _velocity_sample(geometry, eigenvalues, r, t, kernels, tag)
 
 
 def velocity_sg_closed(params: FluidParams, geometry: AnnulusGeometry,
-                       eigenvalues: EigenvalueSet, r: float, t: float,
+                       eigenvalues: EigenvalueSet, r, t: float,
                        controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """beta = 1 velocity by the closed exponential kernel.
+    """beta = 1 velocity on a block of radii at one time t, by the closed
+    exponential kernel.
 
     With alpha1 = 0 this is the Newtonian start-up solution.
     """
     if params.beta != 1.0:
         raise ContractError("velocity_sg_closed requires beta == 1")
-    _check_point(geometry, r, t)
+    r = _radii(geometry, r, t)
     _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
     if t == 0.0:
-        return FieldSample(r=r, t=t, omega=0.0, tau=None, strategy_used="closed-sg", modes_used=0)
+        return FieldSample(r=r[()], t=t, omega=np.zeros_like(r)[()], tau=None,
+                           strategy_used="closed-sg", modes_used=0)
     nu, alpha = params.nu, params.alpha
     rn2 = eigenvalues.roots[: controls.n_modes] ** 2
-    kernels = np.array([-math.expm1(-nu * x2 * t / (1.0 + alpha * x2)) / (nu * x2) for x2 in rn2])
-    omega = _assemble_velocity(geometry, eigenvalues, r, t, kernels)
-    return FieldSample(r=r, t=t, omega=omega, tau=None, strategy_used="closed-sg",
-                       modes_used=controls.n_modes)
+    kernels = -np.expm1(-nu * rn2 * t / (1.0 + alpha * rn2)) / (nu * rn2)
+    return _velocity_sample(geometry, eigenvalues, r, t, kernels, "closed-sg")
 
 
-def velocity_inner_rest(params: FluidParams, geometry: AnnulusGeometry,
-                        eigenvalues: EigenvalueSet, r: float, t: float,
-                        controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """Velocity with the inner cylinder at rest (Omega1 must be 0)."""
-    if geometry.Omega1 != 0.0:
-        raise ContractError("velocity_inner_rest requires geometry.Omega1 == 0")
-    return velocity(params, geometry, eigenvalues, r, t, controls)
-
-
-def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r: float, t: float) -> float:
+def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r, t: float):
     R1, R2 = geometry.R1, geometry.R2
     lead = 2.0 * R1**2 * R2**2 * (geometry.Omega2 - geometry.Omega1) / ((R2**2 - R1**2) * r**2)
     beta = params.beta
@@ -470,51 +502,44 @@ def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r: float,
     return lead * bracket
 
 
-def _stress_geometry_factor(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-                            r: float, n: int) -> np.ndarray:
-    rn = eigenvalues.roots[:n]
-    return np.array(
-        [2.0 * cross_b1(r, x, geometry.R2) / r - x * cross_b(r, x, geometry.R2) for x in rn]
-    )
+def _stress_sample(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
+                   r: np.ndarray, t: float, kernels: np.ndarray, tag: str) -> FieldSample:
+    tau = (_stress_first_term(params, geometry, r, t)
+           + _mode_sum(geometry, eigenvalues, r, kernels, stress=True))
+    return FieldSample(r=r[()], t=t, omega=np.full_like(r, math.nan)[()], tau=tau,
+                       strategy_used=tag, modes_used=len(kernels))
 
 
 def shear_stress(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-                 r: float, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """Shear stress tau(r, t).
+                 r, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
+    """Shear stress tau on a block of radii at one time t.
 
-    Requires t > 0 for beta < 1; at beta = 1 the t = 0 stress is finite and
-    is returned through the closed exponential route.
+    r is a radius or a 1-D array of radii; the mode kernels are built once
+    for the whole block. Requires t > 0 for beta < 1; at beta = 1 the
+    t = 0 stress is finite and is returned through the closed exponential
+    route.
     """
-    _check_point(geometry, r, t)
+    r = _radii(geometry, r, t)
     _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
     if t == 0.0:
         if params.beta != 1.0:
             raise DomainError("shear stress requires t > 0 for beta < 1")
         return shear_stress_sg_closed(params, geometry, eigenvalues, r, t, controls)
     kernels, tag = _mode_kernels(params, eigenvalues, t, controls, stress=True)
-    geom = _stress_geometry_factor(geometry, eigenvalues, r, controls.n_modes)
-    coeffs = mode_coefficients(geometry, eigenvalues)[: controls.n_modes]
-    series = math.fsum(geom[i] * coeffs[i] * kernels[i] for i in range(controls.n_modes))
-    tau = _stress_first_term(params, geometry, r, t) + math.pi * series
-    return FieldSample(r=r, t=t, omega=math.nan, tau=tau, strategy_used=tag,
-                       modes_used=controls.n_modes)
+    return _stress_sample(params, geometry, eigenvalues, r, t, kernels, tag)
 
 
 def shear_stress_sg_closed(params: FluidParams, geometry: AnnulusGeometry,
-                           eigenvalues: EigenvalueSet, r: float, t: float,
+                           eigenvalues: EigenvalueSet, r, t: float,
                            controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """beta = 1 shear stress by the closed exponential kernel."""
+    """beta = 1 shear stress on a block of radii at one time t, by the
+    closed exponential kernel."""
     if params.beta != 1.0:
         raise ContractError("shear_stress_sg_closed requires beta == 1")
-    _check_point(geometry, r, t)
+    r = _radii(geometry, r, t)
     _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
     nu, alpha = params.nu, params.alpha
     rn2 = eigenvalues.roots[: controls.n_modes] ** 2
     z = nu * rn2 * t / (1.0 + alpha * rn2)
     kernels = params.mu * (-np.expm1(-z)) / (nu * rn2) + params.alpha1 * np.exp(-z) / (1.0 + alpha * rn2)
-    geom = _stress_geometry_factor(geometry, eigenvalues, r, controls.n_modes)
-    coeffs = mode_coefficients(geometry, eigenvalues)[: controls.n_modes]
-    series = math.fsum(geom[i] * coeffs[i] * kernels[i] for i in range(controls.n_modes))
-    tau = _stress_first_term(params, geometry, r, t) + math.pi * series
-    return FieldSample(r=r, t=t, omega=math.nan, tau=tau, strategy_used="closed-sg",
-                       modes_used=controls.n_modes)
+    return _stress_sample(params, geometry, eigenvalues, r, t, kernels, "closed-sg")

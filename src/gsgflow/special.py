@@ -1,6 +1,6 @@
-"""Scalar special functions: Bessel orders 0/1, wall cross-products,
-log-gamma, the Lorenzo-Hartley generalized G-function, and signed
-log-space series accumulation.
+"""Special functions: Bessel orders 0/1, wall cross-products (broadcast
+over arrays of radii and roots), the Lorenzo-Hartley generalized
+G-function, and signed log-space series accumulation.
 
 Series with Gamma(k+j+1)-type factors overflow double precision long
 before they converge, so every term is composed in (log magnitude, sign)
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import j0, j1, y0, y1
 
 from .controls import SeriesControls
@@ -72,10 +73,6 @@ class SignedLogAccumulator:
     def __len__(self):
         return len(self._logs)
 
-    @property
-    def max_term_log(self) -> float:
-        return self._max_log
-
     def add(self, log_magnitude: float, sign: int) -> None:
         if sign == 0 or log_magnitude == -math.inf:
             return
@@ -93,9 +90,6 @@ class SignedLogAccumulator:
             self._acc += sign
         else:
             self._acc += sign * math.exp(log_magnitude - self._shift)
-
-    def add_value(self, value: SignedLogValue) -> None:
-        self.add(value.log_magnitude, value.sign)
 
     def estimate_log(self) -> float:
         """Cheap log-magnitude estimate of the current partial sum."""
@@ -123,14 +117,6 @@ class SignedLogAccumulator:
         return math.exp(min(self._max_log - tot.log_magnitude, 700.0))
 
 
-def signed_log_sum(values) -> SignedLogValue:
-    """Sum an iterable of SignedLogValue terms, order-independently."""
-    acc = SignedLogAccumulator()
-    for v in values:
-        acc.add_value(v)
-    return acc.total()
-
-
 def bessel(kind: str, order: int, x: float) -> float:
     """Bessel function J or Y of order 0 or 1.
 
@@ -150,25 +136,27 @@ def bessel(kind: str, order: int, x: float) -> float:
     return float(y0(x) if order == 0 else y1(x))
 
 
-def cross_b1(r: float, rn: float, R2: float) -> float:
-    """Wall cross-product J1(r*rn)*Y1(R2*rn) - J1(R2*rn)*Y1(r*rn)."""
-    if r <= 0.0 or rn <= 0.0 or R2 <= 0.0:
-        raise DomainError("cross_b1 requires r, rn, R2 > 0")
-    return float(j1(r * rn) * y1(R2 * rn) - j1(R2 * rn) * y1(r * rn))
+def _check_cross_args(name: str, r, rn, R2: float) -> None:
+    if not (np.all(np.greater(r, 0.0)) and np.all(np.greater(rn, 0.0)) and R2 > 0.0):
+        raise DomainError(f"{name} requires r, rn, R2 > 0")
 
 
-def cross_b(r: float, rn: float, R2: float) -> float:
-    """Mixed-order cross-product J0(r*rn)*Y1(R2*rn) - J1(R2*rn)*Y0(r*rn)."""
-    if r <= 0.0 or rn <= 0.0 or R2 <= 0.0:
-        raise DomainError("cross_b requires r, rn, R2 > 0")
-    return float(j0(r * rn) * y1(R2 * rn) - j1(R2 * rn) * y0(r * rn))
+def cross_b1(r, rn, R2: float):
+    """Wall cross-product J1(r*rn)*Y1(R2*rn) - J1(R2*rn)*Y1(r*rn).
+
+    r and rn may be floats or arrays that broadcast against each other
+    (radii down a column, roots along a row gives Phi[r, mode]); the
+    result is a float or an array of the broadcast shape.
+    """
+    _check_cross_args("cross_b1", r, rn, R2)
+    return j1(r * rn) * y1(R2 * rn) - j1(R2 * rn) * y1(r * rn)
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError("ln_gamma requires x > 0")
-    return math.lgamma(x)
+def cross_b(r, rn, R2: float):
+    """Mixed-order cross-product J0(r*rn)*Y1(R2*rn) - J1(R2*rn)*Y0(r*rn);
+    broadcasts like cross_b1."""
+    _check_cross_args("cross_b", r, rn, R2)
+    return j0(r * rn) * y1(R2 * rn) - j1(R2 * rn) * y0(r * rn)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,14 @@ from .laplace import ModeTransform, eval_transform, invert_stehfest, invert_steh
 from .solution import (
     AnnulusGeometry,
     FluidParams,
-    mode_coefficients,
+    _mode_sum,
     shear_stress,
+    shear_stress_sg_closed,
     steady_part,
     velocity,
     velocity_sg_closed,
 )
-from .special import GFunctionArgs, bessel, cross_b1, g_function
+from .special import GFunctionArgs, bessel, g_function
 from .fdsolver import GridSpec, gl_weights
 
 
@@ -89,34 +90,28 @@ def l1_fractional_derivative(samples: np.ndarray, dt: float, beta: float) -> flo
     return dt ** (-beta) / math.gamma(2.0 - beta) * float(np.dot(b, dg[::-1]))
 
 
-def velocity_time_batch(params: FluidParams, geometry: AnnulusGeometry, eigenvalues,
-                        r: float, t_grid: np.ndarray, n_modes: int) -> np.ndarray:
-    """Velocity omega(r, t) over a time grid via batch Laplace inversion.
-
-    float64 Stehfest per mode (about 1e-7 relative), fast enough to feed the
-    L1 differencing oracle over 1e4 samples.
-    """
-    rn = eigenvalues.roots[:n_modes]
-    coeffs = mode_coefficients(geometry, eigenvalues)[:n_modes]
-    total = np.array([steady_part(geometry, r, t) for t in t_grid])
-    for i, root in enumerate(rn):
-        mt = ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=root**2)
-        kern = invert_stehfest_batch(lambda q: eval_transform(mt, q), t_grid)
-        total -= math.pi * coeffs[i] * cross_b1(r, root, geometry.R2) * kern
-    return total
-
-
 def operator_applied_stress(params: FluidParams, geometry: AnnulusGeometry, eigenvalues,
                             r: float, t: float, n_modes: int,
                             dr: float = 1e-3, dt: float = 1e-3) -> float:
     """tau oracle: (mu + alpha1 * D_t^beta)(d/dr - 1/r) applied numerically
     to velocity samples (central differences in r, L1 differentiation in t).
+
+    The velocity samples at r + dr, r - dr and r share one kernel matrix
+    K[mode, t] from float64 batch Stehfest (about 1e-7 relative), fast
+    enough for the 1e4-sample time grid of the L1 scheme.
     """
     n = int(round(t / dt))
     t_grid = np.arange(1, n + 1) * dt
-    w_plus = velocity_time_batch(params, geometry, eigenvalues, r + dr, t_grid, n_modes)
-    w_minus = velocity_time_batch(params, geometry, eigenvalues, r - dr, t_grid, n_modes)
-    w_mid = velocity_time_batch(params, geometry, eigenvalues, r, t_grid, n_modes)
+    kernels = np.array([
+        invert_stehfest_batch(
+            lambda q, x2=x * x: eval_transform(
+                ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=x2), q),
+            t_grid)
+        for x in eigenvalues.roots[:n_modes]
+    ])
+    radii = np.array([r + dr, r - dr, r])
+    w_plus, w_minus, w_mid = (np.outer(steady_part(geometry, radii, 1.0), t_grid)
+                              - _mode_sum(geometry, eigenvalues, radii, kernels))
     g = (w_plus - w_minus) / (2.0 * dr) - w_mid / r
     g_full = np.concatenate(([0.0], g))
     return params.mu * g[-1] + params.alpha1 * l1_fractional_derivative(g_full, dt, params.beta)
@@ -198,8 +193,6 @@ def run_fast_checks(params: FluidParams, geometry: AnnulusGeometry) -> list:
         b = velocity_sg_closed(sg, geometry, eig, r, t, controls).omega
         worst_v = max(worst_v, abs(a - b) / max(abs(b), 1e-300))
         a = shear_stress(sg, geometry, eig, r, t, controls).tau
-        from .solution import shear_stress_sg_closed
-
         b = shear_stress_sg_closed(sg, geometry, eig, r, t, controls).tau
         worst_s = max(worst_s, abs(a - b) / max(abs(b), 1e-300))
     checks.append(CheckResult.from_measurement("beta1_velocity_reduction", worst_v, 1e-8))
@@ -247,28 +240,6 @@ def run_fast_checks(params: FluidParams, geometry: AnnulusGeometry) -> list:
     return checks
 
 
-def velocity_probe_table(params: FluidParams, geometry: AnnulusGeometry, eigenvalues,
-                         r_probes, t_probes, n_modes: int) -> dict:
-    """Velocity at a probe grid via per-mode Laplace inversion, reusing the
-    r-independent kernels across radii."""
-    rn = eigenvalues.roots[:n_modes]
-    coeffs = mode_coefficients(geometry, eigenvalues)[:n_modes]
-    b1 = {r: np.array([cross_b1(r, x, geometry.R2) for x in rn]) for r in r_probes}
-    table = {}
-    for t in t_probes:
-        kern = np.array([
-            invert_stehfest(
-                lambda q, x2=x * x: eval_transform(
-                    ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=x2), q),
-                t)
-            for x in rn
-        ])
-        for r in r_probes:
-            table[(r, t)] = steady_part(geometry, r, t) - math.pi * float(
-                np.sum(coeffs * b1[r] * kern))
-    return table
-
-
 def run_full_checks(params: FluidParams, geometry: AnnulusGeometry,
                     grid: GridSpec | None = None) -> list:
     checks = []
@@ -280,17 +251,17 @@ def run_full_checks(params: FluidParams, geometry: AnnulusGeometry,
     # so comparisons stay meaningful where the startup field is still ~0
     scale_coef = 2e-4 * (geometry.R2 * abs(geometry.Omega2) + geometry.R1 * abs(geometry.Omega1))
 
-    # FD oracle vs analytic velocity (400 modes so series truncation stays
-    # well below the FD error at every probe)
+    # FD oracle vs analytic velocity (400 Laplace-inverted modes so series
+    # truncation stays well below the FD error at every probe)
+    laplace400 = SeriesControls(n_modes=400, strategy=Strategy.MODE_LAPLACE)
     for beta in (0.5, 0.8, 1.0):
         p = FluidParams(mu=params.mu, alpha1=params.alpha1, rho=params.rho, beta=beta)
         fd = fdsolver.solve(p, geometry, grid)
-        table = velocity_probe_table(p, geometry, eig, probes_r, probes_t, 400)
         worst = 0.0
-        for r in probes_r:
-            for t in probes_t:
-                worst = max(worst, mixed_relative_error(table[(r, t)], fd.at(r, t),
-                                                        scale_coef * t))
+        for t in probes_t:
+            omega = velocity(p, geometry, eig, np.array(probes_r), t, laplace400).omega
+            for r, value in zip(probes_r, omega):
+                worst = max(worst, mixed_relative_error(value, fd.at(r, t), scale_coef * t))
         checks.append(CheckResult.from_measurement(f"fd_velocity_beta{beta:g}", worst, 0.02))
 
     # Newtonian sub-case at the mid-gap reference point; the 0.5% bound is

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gsgflow import solution
 from gsgflow.cli import EXIT_INVALID_INPUT, EXIT_OK, main
 
 
@@ -14,6 +15,26 @@ def run(tmp_path, *argv):
     code = main([argv[0], "--out", str(out), *argv[1:]])
     text = out.read_text() if out.exists() else ""
     return code, text
+
+
+def count_kernel_builds(monkeypatch):
+    """Wrap solution._mode_kernels and return the list its calls append to."""
+    calls = []
+    original = solution._mode_kernels
+
+    def counting(params, eigenvalues, t, controls, stress):
+        calls.append((params.beta, t, stress))
+        return original(params, eigenvalues, t, controls, stress)
+
+    monkeypatch.setattr(solution, "_mode_kernels", counting)
+    return calls
+
+
+def invalid_input(capsys, argv, name):
+    """True when argv exits 3 with a message that names the input."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == EXIT_INVALID_INPUT and name in err
 
 
 def parse_csv(text):
@@ -40,6 +61,11 @@ class TestRoots:
         for n, row in enumerate(rows, start=1):
             assert float(row[1]) == n * math.pi / 3.0
             assert row[2] == ""
+
+    def test_zero_n_max_rejected(self, tmp_path):
+        code, text = run(tmp_path, "roots", "--n-max", "0", "--no-timestamp")
+        assert code == EXIT_INVALID_INPUT
+        assert text == ""
 
     def test_invalid_geometry_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -88,6 +114,20 @@ class TestProfile:
                 continue
             assert curves[0.3] > curves[0.6] > curves[0.9]
 
+    def test_kernels_built_once_per_curve(self, tmp_path, monkeypatch):
+        calls = count_kernel_builds(monkeypatch)
+        code, text = run(tmp_path, "profile", "--t", "2", "--betas", "0.5", "--r-steps", "9",
+                         "--modes", "10", "--no-timestamp")
+        assert code == EXIT_OK
+        assert len(parse_csv(text)[1]) == 9 * 3
+        # the beta = 1 and Newtonian curves use the closed kernels
+        assert calls == [(0.5, 2.0, False)]
+
+    def test_non_finite_time_rejected(self, tmp_path, capsys):
+        for t in ("nan", "inf"):
+            assert invalid_input(capsys, ["profile", "--t", t, "--betas", "0.5",
+                                          "--out", str(tmp_path / "x.csv")], "t must be")
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "p.json"
         code = main(["profile", "--t", "2", "--betas", "0.5", "--r-steps", "3",
@@ -123,6 +163,17 @@ class TestHistory:
         series = [float(r[3]) for r in rows if float(r[2]) == 0.5]
         assert all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
 
+    def test_kernels_built_once_per_time_and_curve(self, tmp_path, monkeypatch):
+        calls = count_kernel_builds(monkeypatch)
+        code, _ = run(tmp_path, "history", "--r-list", "1.3,2.5,3.8", "--t-max", "2",
+                      "--t-steps", "2", "--betas", "0.5", "--modes", "10", "--no-timestamp")
+        assert code == EXIT_OK
+        assert calls == [(0.5, 1.0, False), (0.5, 2.0, False)]
+
+    def test_non_finite_t_max_rejected(self, tmp_path, capsys):
+        assert invalid_input(capsys, ["history", "--t-max", "nan", "--betas", "0.5",
+                                      "--out", str(tmp_path / "x.csv")], "t-max")
+
     def test_radius_outside_annulus(self, tmp_path):
         code = main(["history", "--r-list", "0.5", "--t-max", "1",
                      "--out", str(tmp_path / "x.csv")])
@@ -145,6 +196,21 @@ class TestStress:
                          "--r-steps", "3", "--modes", "15", "--config", str(cfg),
                          "--no-timestamp")
         assert code == EXIT_OK
+
+    def test_kernels_built_once_per_time_and_curve(self, tmp_path, monkeypatch):
+        calls = count_kernel_builds(monkeypatch)
+        code, _ = run(tmp_path, "stress", "--r-list", "1.3,2.5,3.8", "--t-max", "2",
+                      "--t-steps", "2", "--betas", "0.5,0.7", "--modes", "10",
+                      "--no-timestamp")
+        assert code == EXIT_OK
+        assert calls == [(0.5, 1.0, True), (0.7, 1.0, True), (0.5, 2.0, True), (0.7, 2.0, True)]
+
+    def test_non_finite_time_rejected(self, tmp_path, capsys):
+        out = ["--betas", "0.5", "--out", str(tmp_path / "x.csv")]
+        assert invalid_input(capsys, ["stress", "--t", "nan", *out], "t must be")
+        assert invalid_input(capsys, ["stress", "--t", "inf", *out], "t must be")
+        assert invalid_input(capsys, ["stress", "--t-max", "nan", *out], "t-max")
+        assert invalid_input(capsys, ["stress", "--t-max", "-1", *out], "t-max")
 
     def test_zero_time_with_fractional_order_rejected(self, tmp_path):
         code = main(["stress", "--t", "0", "--betas", "0.5",
@@ -197,6 +263,22 @@ class TestDeterminismAndConfig:
         assert code == EXIT_OK
         _, rows = parse_csv(out.read_text())
         assert float(rows[0][1]) == pytest.approx(math.pi / 3.0, rel=0.4)
+
+    def test_zero_modes_override_rejected(self, tmp_path, capsys):
+        assert invalid_input(capsys, ["profile", "--modes", "0", "--betas", "0.5",
+                                      "--out", str(tmp_path / "x.csv")], "n_modes")
+
+    def test_zero_tol_override_rejected(self, tmp_path, capsys):
+        assert invalid_input(capsys, ["profile", "--tol", "0", "--betas", "0.5",
+                                      "--out", str(tmp_path / "x.csv")], "tol_rel")
+
+    def test_non_finite_config_values_rejected(self, tmp_path, capsys):
+        for line, name in (("mu = nan", "mu"), ("rho = inf", "rho"), ("r2 = inf", "R2"),
+                           ("omega1 = nan", "Omega1")):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(line + "\n")
+            assert invalid_input(capsys, ["roots", "--config", str(cfg),
+                                          "--out", str(tmp_path / "x.csv")], name)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"

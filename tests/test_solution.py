@@ -23,9 +23,11 @@ from gsgflow import (
     shear_stress_sg_closed,
     steady_part,
     velocity,
-    velocity_inner_rest,
     velocity_sg_closed,
 )
+from gsgflow.solution import _mode_kernels, _stress_first_term, mode_coefficients
+from gsgflow.special import cross_b, cross_b1
+from gsgflow.validate import mixed_relative_error
 
 GEOM = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=3.0, Omega2=1.5)
 EIG = find_roots(1.0, 4.0, 60)
@@ -48,10 +50,20 @@ class TestParamsAndGeometry:
             FluidParams(mu=1.0, alpha1=1.0, rho=1.0, beta=1.5)
         with pytest.raises(ValueError):
             FluidParams(mu=1.0, alpha1=-1.0, rho=1.0, beta=0.5)
+        base = dict(mu=1.0, alpha1=1.0, rho=1.0, beta=0.5)
+        for name, value in (("mu", math.nan), ("rho", math.inf), ("alpha1", math.inf),
+                            ("alpha1", math.nan), ("beta", math.nan)):
+            with pytest.raises(ValueError, match=name):
+                FluidParams(**{**base, name: value})
 
     def test_geometry_validation(self):
         with pytest.raises(GeometryError):
             AnnulusGeometry(R1=4.0, R2=1.0, Omega1=0.0, Omega2=0.0)
+        base = dict(R1=1.0, R2=4.0, Omega1=3.0, Omega2=1.5)
+        for name, value in (("R2", math.inf), ("R1", math.nan), ("Omega1", math.nan),
+                            ("Omega2", -math.inf)):
+            with pytest.raises(GeometryError, match=name):
+                AnnulusGeometry(**{**base, name: value})
 
     def test_counter_rotation_allowed(self):
         AnnulusGeometry(R1=1.0, R2=4.0, Omega1=-3.0, Omega2=1.5)
@@ -149,6 +161,14 @@ class TestVelocity:
         with pytest.raises(ValueError):
             velocity(params(0.5), GEOM, EIG, 2.0, 1.0, SeriesControls(n_modes=100))
 
+    def test_non_finite_time_rejected(self):
+        for t in (math.nan, math.inf):
+            for fn in (velocity, shear_stress):
+                with pytest.raises(DomainError, match="t="):
+                    fn(params(0.5), GEOM, EIG, 2.5, t)
+            with pytest.raises(DomainError, match="t="):
+                steady_part(GEOM, 2.5, t)
+
     def test_monotone_spin_up_history(self):
         p = params(0.5)
         c = SeriesControls(n_modes=40)
@@ -168,9 +188,6 @@ class TestVelocityClosedForms:
         assert math.isfinite(fs.omega)
         # transient bound: the series part never exceeds its kernel cap
         rn2 = EIG.roots[:50] ** 2
-        from gsgflow.solution import mode_coefficients
-        from gsgflow import cross_b1
-
         coeffs = mode_coefficients(GEOM, EIG)[:50]
         b1 = np.array([cross_b1(3.8, x, 4.0) for x in EIG.roots[:50]])
         bound = math.pi * float(np.sum(np.abs(coeffs * b1) / (p.nu * rn2)))
@@ -180,9 +197,6 @@ class TestVelocityClosedForms:
         # kernel in [0, 1/(nu rn^2)): the deviation from the steady profile
         # is capped by pi/nu * sum |C_n B1(r r_n)| / rn^2 at every time
         p = params(1.0)
-        from gsgflow import cross_b1
-        from gsgflow.solution import mode_coefficients
-
         rn = EIG.roots[:50]
         coeffs = mode_coefficients(GEOM, EIG)[:50]
         b1 = np.array([cross_b1(2.5, x, 4.0) for x in rn])
@@ -194,21 +208,11 @@ class TestVelocityClosedForms:
 
 
 class TestInnerRest:
-    def test_contract(self):
-        with pytest.raises(ContractError):
-            velocity_inner_rest(params(0.7), GEOM, EIG, 2.0, 1.0)
-
     def test_boundaries(self):
         g = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=0.0, Omega2=1.5)
-        assert abs(velocity_inner_rest(params(0.7), g, EIG, 1.0, 3.0).omega) < 1e-8
-        assert velocity_inner_rest(params(0.7), g, EIG, 4.0, 3.0).omega == pytest.approx(
+        assert abs(velocity(params(0.7), g, EIG, 1.0, 3.0).omega) < 1e-8
+        assert velocity(params(0.7), g, EIG, 4.0, 3.0).omega == pytest.approx(
             4.0 * 1.5 * 3.0, rel=1e-9)
-
-    def test_identical_to_velocity(self):
-        g = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=0.0, Omega2=1.5)
-        a = velocity_inner_rest(params(0.7), g, EIG, 2.2, 4.0).omega
-        b = velocity(params(0.7), g, EIG, 2.2, 4.0).omega
-        assert a == b
 
 
 class TestShearStress:
@@ -218,8 +222,6 @@ class TestShearStress:
         # with Omega1 = Omega2 the closed first term vanishes; the remaining
         # series part must match the generic path exactly
         tau = shear_stress_sg_closed(p, g, EIG, 2.5, 3.0).tau
-        from gsgflow.solution import _stress_first_term
-
         assert _stress_first_term(p, g, 2.5, 3.0) == 0.0
         assert math.isfinite(tau)
 
@@ -250,3 +252,95 @@ class TestShearStress:
     def test_closed_form_requires_beta_one(self):
         with pytest.raises(ContractError):
             shear_stress_sg_closed(params(0.5), GEOM, EIG, 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation against the per-point assembly it replaced
+
+RADII = np.array([1.0, 1.3, 2.2, 2.5, 3.1, 3.8, 4.0])
+# validate's mixed-error floors: omega at the boundary-velocity scale at t,
+# tau at the steady wall shear at R1
+OMEGA_FLOOR = 2e-4 * (4.0 * 1.5 + 1.0 * 3.0)
+# only the order of summation differs from the reference
+BLOCK_TOL = 1e-11
+
+
+def stress_floor(p, t):
+    return 2e-4 * abs(_stress_first_term(p, GEOM, GEOM.R1, t))
+
+
+def point_velocity(r, t, kernels):
+    """omega at one radius by per-point math.fsum assembly (the reference)."""
+    n = len(kernels)
+    rn = EIG.roots[:n]
+    coeffs = mode_coefficients(GEOM, EIG)[:n]
+    b1 = np.array([cross_b1(r, x, GEOM.R2) for x in rn])
+    series = math.fsum(coeffs[i] * b1[i] * kernels[i] for i in range(n))
+    return steady_part(GEOM, r, t) - math.pi * series
+
+
+def point_stress(p, r, t, kernels):
+    """tau at one radius by per-point math.fsum assembly (the reference)."""
+    n = len(kernels)
+    rn = EIG.roots[:n]
+    geom = np.array([2.0 * cross_b1(r, x, GEOM.R2) / r - x * cross_b(r, x, GEOM.R2) for x in rn])
+    coeffs = mode_coefficients(GEOM, EIG)[:n]
+    series = math.fsum(geom[i] * coeffs[i] * kernels[i] for i in range(n))
+    return _stress_first_term(p, GEOM, r, t) + math.pi * series
+
+
+def assert_block_matches(p, t, omega, tau, k_omega, k_tau):
+    for i, r in enumerate(RADII):
+        r = float(r)
+        if omega is not None:
+            want = point_velocity(r, t, k_omega)
+            assert mixed_relative_error(omega[i], want, OMEGA_FLOOR * t) <= BLOCK_TOL
+        want = point_stress(p, r, t, k_tau)
+        assert mixed_relative_error(tau[i], want, stress_floor(p, t)) <= BLOCK_TOL
+
+
+class TestBlockEvaluation:
+    @pytest.mark.parametrize("beta", [0.3, 0.9])
+    def test_fractional_block_matches_point_assembly(self, beta):
+        p = params(beta)
+        c = SeriesControls(n_modes=50)
+        for t in (0.5, 5.0):
+            fs = velocity(p, GEOM, EIG, RADII, t, c)
+            tau = shear_stress(p, GEOM, EIG, RADII, t, c).tau
+            assert fs.r.shape == fs.omega.shape == tau.shape == RADII.shape
+            k_omega, _ = _mode_kernels(p, EIG, t, c, stress=False)
+            k_tau, _ = _mode_kernels(p, EIG, t, c, stress=True)
+            assert_block_matches(p, t, fs.omega, tau, k_omega, k_tau)
+
+    @pytest.mark.parametrize("alpha1, times", [(11.34, (0.0, 0.5, 5.0)), (0.0, (0.5, 5.0))])
+    def test_closed_block_matches_point_assembly(self, alpha1, times):
+        # beta = 1 second grade fluid and the Newtonian case; at t = 0 only
+        # the second grade stress is nonzero (the elastic jump)
+        p = params(1.0, alpha1)
+        nu, alpha = p.nu, p.alpha
+        rn2 = EIG.roots[:50] ** 2
+        for t in times:
+            k_omega = np.array([-math.expm1(-nu * x2 * t / (1.0 + alpha * x2)) / (nu * x2)
+                                for x2 in rn2])
+            z = nu * rn2 * t / (1.0 + alpha * rn2)
+            k_tau = p.mu * (-np.expm1(-z)) / (nu * rn2) + p.alpha1 * np.exp(-z) / (1.0 + alpha * rn2)
+            omega = velocity_sg_closed(p, GEOM, EIG, RADII, t).omega if t > 0.0 else None
+            tau = shear_stress_sg_closed(p, GEOM, EIG, RADII, t).tau
+            assert_block_matches(p, t, omega, tau, k_omega, k_tau)
+
+    def test_zero_time_block(self):
+        for fn, p in ((velocity, params(0.5)), (velocity_sg_closed, params(1.0))):
+            omega = fn(p, GEOM, EIG, RADII, 0.0).omega
+            assert omega.shape == RADII.shape and not omega.any()
+        with pytest.raises(DomainError):
+            shear_stress(params(0.5), GEOM, EIG, RADII, 0.0)
+
+    def test_one_radius_outside_rejects_the_block(self):
+        cases = ((velocity, params(0.5)), (shear_stress, params(0.5)),
+                 (velocity_sg_closed, params(1.0)), (shear_stress_sg_closed, params(1.0)))
+        for bad in (0.5, 4.0 + 1e-9, math.nan):
+            for at in (0, 2, 3):
+                radii = np.insert(np.array([1.3, 2.5, 3.8]), at, bad)
+                for fn, p in cases:
+                    with pytest.raises(DomainError, match="outside annulus"):
+                        fn(p, GEOM, EIG, radii, 1.0)
