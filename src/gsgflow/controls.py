@@ -19,7 +19,11 @@ class SeriesControls:
 
     n_modes: number of radial eigenmodes summed.
     tol_rel: relative quiescence tolerance for the term-stopping rule.
-    max_terms: hard cap on terms per series before a non-convergence error.
+    max_terms: hard cap on terms per series before a non-convergence error;
+        a term is one outer index of a single-index series (the G-function,
+        the G-series over k, the beta = 1 series) and one (j, k) pair of the
+        double series. The cap is checked after each step that does not
+        complete the three-step quiet run.
     strategy: kernel evaluation route; AUTO picks the series for beta <= 0.9
         (falling back per mode to Laplace inversion on refusal) and Laplace
         inversion for beta > 0.9.

@@ -20,8 +20,11 @@ class ConfigError(ValueError):
 class NonConvergenceError(RuntimeError):
     """A series failed to converge to a trustworthy value.
 
-    Carries the partial sum and the number of terms consumed so callers can
-    report or fall back instead of silently using a wrong number.
+    Carries the number of terms consumed (see SeriesControls.max_terms) and
+    the partial sum: the materialized sum of every term consumed before the
+    refusal, +-inf beyond the double range, and 0.0 when the series was
+    refused before summing. Callers can report or fall back instead of
+    silently using a wrong number.
     """
 
     def __init__(self, message, partial_sum=0.0, terms_used=0):

@@ -36,6 +36,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nr < 8:
             raise ValueError("nr must be >= 8")
+        for name in ("dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
         if self.t_end < self.dt:

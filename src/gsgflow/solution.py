@@ -15,6 +15,7 @@ where double precision cannot carry the cancellation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,9 +27,10 @@ from .eigenvalues import EigenvalueSet
 from .errors import ContractError, DomainError, GeometryError, NonConvergenceError, ModeEvaluationError
 from .laplace import ModeTransform, invert_mode_stress_kernel, invert_mode_velocity_kernel
 from .special import (
-    CANCELLATION_LIMIT,
     GFunctionArgs,
-    SignedLogAccumulator,
+    SignedLogValue,
+    _check_cancellation_budget,
+    _sum_series,
     cross_b,
     cross_b1,
     g_function,
@@ -159,104 +161,35 @@ def mode_coefficients(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet) -> 
 # per-mode time kernels
 
 
-def _velocity_kernel_beta1_series(nu_rn2: float, alpha_rn2: float, t: float,
-                                  controls: SeriesControls) -> float:
+def _beta1_steps(nu_rn2: float, alpha_rn2: float, t: float, p: float):
     # At beta = 1 the inner j-series is geometric with ratio -alpha_rn2 and
     # diverges beyond |ratio| = 1; its binomial resummation (1+alpha_rn2)^-(k+1)
-    # is exact, leaving a fast alternating k-series.
+    # is exact, leaving a fast alternating k-series with terms
+    # (-nu_rn2)^k t^(k+p) / (Gamma(k+p+1) (1+alpha_rn2)^(k+1)): the velocity
+    # kernel for p = 1, its t-derivative for p = 0.
     log_nu = math.log(nu_rn2)
     log_ap1 = math.log1p(alpha_rn2)
     lt = math.log(t)
-    log_tol = math.log(controls.tol_rel)
-    acc = SignedLogAccumulator()
-    quiet = 0
-    for k in range(controls.max_terms):
-        log_term = k * log_nu + (k + 1.0) * lt - math.lgamma(k + 2.0) - (k + 1.0) * log_ap1
-        acc.add(log_term, 1 if k % 2 == 0 else -1)
-        if log_term < acc.estimate_log() + log_tol:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            "beta=1 kernel series did not converge", terms_used=len(acc)
-        )
-    return acc.total().to_float()
+    for k in itertools.count():
+        log_term = k * log_nu + (k + p) * lt - math.lgamma(k + p + 1.0) - (k + 1.0) * log_ap1
+        yield 1, ((log_term, 1 if k % 2 == 0 else -1),)
 
 
-def _stress_kernel_beta1_series(nu_rn2: float, alpha_rn2: float, mu: float, alpha1: float,
-                                t: float, controls: SeriesControls) -> float:
-    mu_part = mu * _velocity_kernel_beta1_series(nu_rn2, alpha_rn2, t, controls)
-    log_nu = math.log(nu_rn2)
-    log_ap1 = math.log1p(alpha_rn2)
-    lt = math.log(t)
-    log_tol = math.log(controls.tol_rel)
-    acc = SignedLogAccumulator()
-    quiet = 0
-    for k in range(controls.max_terms):
-        log_term = k * log_nu + k * lt - math.lgamma(k + 1.0) - (k + 1.0) * log_ap1
-        acc.add(log_term, 1 if k % 2 == 0 else -1)
-        if log_term < acc.estimate_log() + log_tol:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            "beta=1 kernel series did not converge", terms_used=len(acc)
-        )
-    return mu_part + alpha1 * acc.total().to_float()
-
-
-def _series_refusal_check(alpha_rn2: float, beta: float, t: float) -> None:
-    # a-priori guard: peak log term of the j-direction is ~ |d|^(1/a) * t
-    a = 1.0 - beta
-    if alpha_rn2 <= 1.0:
-        return
-    log_u = math.log(alpha_rn2) / a + math.log(t)
-    if log_u > math.log(math.log(CANCELLATION_LIMIT) + 5.0 + abs(math.log(t))):
-        raise NonConvergenceError(
-            f"double series for alpha*rn^2={alpha_rn2:g}, beta={beta:g}, t={t:g} "
-            "exceeds the double-precision cancellation budget"
-        )
-
-
-def _double_series_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
-                          controls: SeriesControls, stress: bool = False,
-                          mu: float = 0.0, alpha1: float = 0.0) -> float:
-    """Diagonal (by j+k) signed log-space sum of the (j,k) double series.
-
-    Velocity terms carry t^E / Gamma(E+1) with E = (1-beta) j + k + 1; the
-    stress variant replaces that factor by the two-part bracket
-    mu t^E/Gamma(E+1) + alpha1 t^(E-beta)/Gamma(E+1-beta).
-    """
-    if beta == 1.0:
-        if stress:
-            return _stress_kernel_beta1_series(nu_rn2, alpha_rn2, mu, alpha1, t, controls)
-        return _velocity_kernel_beta1_series(nu_rn2, alpha_rn2, t, controls)
-    if alpha_rn2 > 0.0:
-        _series_refusal_check(alpha_rn2, beta, t)
-
+def _double_series_steps(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
+                         parts: list):
+    # One step per diagonal s = j + k and one term per (j, k) pair. Each
+    # part (log c, shift) gives the pair one entry c t^(E-shift)/Gamma(E+1-shift):
+    # velocity has the one part (log 1, 0), stress one per nonzero bracket
+    # coefficient mu, alpha1.
     a = 1.0 - beta
     log_nu = math.log(nu_rn2)
     log_al = math.log(alpha_rn2) if alpha_rn2 > 0.0 else None
     lt = math.log(t)
-    log_tol = math.log(controls.tol_rel)
-    log_mu = math.log(mu) if mu > 0.0 else None
-    log_a1 = math.log(alpha1) if alpha1 > 0.0 else None
-
-    acc = SignedLogAccumulator()
-    quiet = 0
-    terms = 0
-    s = 0
-    while True:
+    for s in itertools.count():
         lgs = math.lgamma(s + 1.0)
-        diag_max = -math.inf
         sign = 1 if s % 2 == 0 else -1
         j_range = range(0, s + 1) if log_al is not None else (0,)
+        entries = []
         for j in j_range:
             k = s - j
             e = a * j + k + 1.0
@@ -267,41 +200,40 @@ def _double_series_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float
                 - math.lgamma(k + 1.0)
                 - math.lgamma(j + 1.0)
             )
-            if not stress:
-                log_term = log_coef + e * lt - math.lgamma(e + 1.0)
-                acc.add(log_term, sign)
-                diag_max = max(diag_max, log_term)
-            else:
-                if log_mu is not None:
-                    log_term = log_mu + log_coef + e * lt - math.lgamma(e + 1.0)
-                    acc.add(log_term, sign)
-                    diag_max = max(diag_max, log_term)
-                if log_a1 is not None:
-                    log_term = log_a1 + log_coef + (e - beta) * lt - math.lgamma(e + 1.0 - beta)
-                    acc.add(log_term, sign)
-                    diag_max = max(diag_max, log_term)
-            terms += 1
-        if diag_max < acc.estimate_log() + log_tol:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        s += 1
-        if terms > controls.max_terms:
-            raise NonConvergenceError(
-                f"double series exceeded {controls.max_terms} terms",
-                terms_used=terms,
-            )
-    total = acc.total()
-    if acc.condition() > CANCELLATION_LIMIT:
-        raise NonConvergenceError(
-            "double series cancellation exceeds double precision "
-            f"(condition ~ {acc.condition():.2e})",
-            partial_sum=total.to_float() if total.log_magnitude < 700 else math.inf,
-            terms_used=terms,
-        )
-    return total.to_float()
+            for log_pre, shift in parts:
+                entries.append(
+                    (log_pre + log_coef + (e - shift) * lt - math.lgamma(e + 1.0 - shift), sign)
+                )
+        yield len(j_range), entries
+
+
+def _double_series_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
+                          controls: SeriesControls, stress: bool = False,
+                          mu: float = 0.0, alpha1: float = 0.0) -> float:
+    """Diagonal (by j+k) signed log-space sum of the (j,k) double series.
+
+    Velocity terms carry t^E / Gamma(E+1) with E = (1-beta) j + k + 1; the
+    stress variant replaces that factor by the two-part bracket
+    mu t^E/Gamma(E+1) + alpha1 t^(E-beta)/Gamma(E+1-beta). At beta = 1 the
+    j-direction is resummed (see _beta1_steps).
+    """
+    if beta == 1.0:
+        what = "beta=1 kernel series"
+        kernel = _sum_series(_beta1_steps(nu_rn2, alpha_rn2, t, 1.0), controls, what)
+        if not stress:
+            return kernel
+        if alpha1 == 0.0:
+            # the t-derivative series is weighted by zero; its cancellation is moot
+            return mu * kernel
+        return mu * kernel + alpha1 * _sum_series(
+            _beta1_steps(nu_rn2, alpha_rn2, t, 0.0), controls, what)
+    _check_cancellation_budget(alpha_rn2, 1.0 - beta, t, "double series")
+    if not stress:
+        parts = [(0.0, 0.0)]
+    else:
+        parts = [(math.log(x), shift) for x, shift in ((mu, 0.0), (alpha1, beta)) if x > 0.0]
+    return _sum_series(_double_series_steps(nu_rn2, alpha_rn2, beta, t, parts),
+                       controls, "double series")
 
 
 def _gseries_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
@@ -313,48 +245,24 @@ def _gseries_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
     adds alpha1 * G_{1-b, -1-kb, k+1} for the fractional-derivative part.
     """
     a = 1.0 - beta
-    log_tol = math.log(controls.tol_rel)
-    acc = SignedLogAccumulator()
-    quiet = 0
-    sign = 1
     log_nu = math.log(nu_rn2)
-    for k in range(controls.max_terms):
-        g_vel = g_function(
-            GFunctionArgs(a=a, b=-1.0 - beta - k * beta, c=k + 1.0, d=-alpha_rn2, t=t),
-            controls,
-        )
-        if not stress:
-            term = g_vel
-        else:
-            g_str = g_function(
-                GFunctionArgs(a=a, b=-1.0 - k * beta, c=k + 1.0, d=-alpha_rn2, t=t),
+
+    def steps():
+        for k in itertools.count():
+            term = g_function(
+                GFunctionArgs(a=a, b=-1.0 - beta - k * beta, c=k + 1.0, d=-alpha_rn2, t=t),
                 controls,
             )
-            term = mu * g_vel + alpha1 * g_str
-        if term != 0.0:
-            acc.add(k * log_nu + math.log(abs(term)), sign if term > 0 else -sign)
-        log_term = -math.inf if term == 0.0 else k * log_nu + math.log(abs(term))
-        sign = -sign
-        if log_term < acc.estimate_log() + log_tol:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"G-series mode sum exceeded {controls.max_terms} outer terms",
-            terms_used=len(acc),
-        )
-    total = acc.total()
-    if acc.condition() > CANCELLATION_LIMIT:
-        raise NonConvergenceError(
-            "G-series cancellation exceeds double precision "
-            f"(condition ~ {acc.condition():.2e})",
-            partial_sum=total.to_float() if total.log_magnitude < 700 else math.inf,
-            terms_used=len(acc),
-        )
-    return total.to_float()
+            if stress:
+                g_str = g_function(
+                    GFunctionArgs(a=a, b=-1.0 - k * beta, c=k + 1.0, d=-alpha_rn2, t=t),
+                    controls,
+                )
+                term = mu * term + alpha1 * g_str
+            value = SignedLogValue.from_float(term)
+            yield 1, ((k * log_nu + value.log_magnitude, (1 if k % 2 == 0 else -1) * value.sign),)
+
+    return _sum_series(steps(), controls, "G-series")
 
 
 def _mode_kernels(params: FluidParams, eigenvalues: EigenvalueSet, t: float,

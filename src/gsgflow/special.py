@@ -1,14 +1,22 @@
 """Special functions: Bessel orders 0/1, wall cross-products (broadcast
 over arrays of radii and roots), the Lorenzo-Hartley generalized
-G-function, and signed log-space series accumulation.
+G-function, and signed log-space series summation.
 
 Series with Gamma(k+j+1)-type factors overflow double precision long
 before they converge, so every term is composed in (log magnitude, sign)
-form and only materialized when the accumulated sum is requested.
+form and only materialized when the accumulated sum is requested. Every
+series of the package (the G-function here, the per-mode time kernels in
+solution) is a generator of such terms summed by one protocol,
+_sum_series: it stops after three consecutive quiet steps, refuses past
+SeriesControls.max_terms terms, and refuses a sum whose largest term
+exceeds it by more than CANCELLATION_LIMIT. Series whose terms would peak
+far beyond that budget are refused before summing by
+_check_cancellation_budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,12 +117,84 @@ class SignedLogAccumulator:
             return SignedLogValue(-math.inf, 0)
         return SignedLogValue(shift + math.log(abs(tot)), 1 if tot > 0 else -1)
 
-    def condition(self) -> float:
-        """max |term| / |sum|; large values mean catastrophic cancellation."""
-        tot = self.total()
-        if tot.sign == 0:
+    def condition(self, total: SignedLogValue) -> float:
+        """max |term| / |sum| for the total() of these terms, passed in so
+        the sum is materialized once; large values mean catastrophic
+        cancellation."""
+        if total.sign == 0:
             return math.inf if self._logs else 1.0
-        return math.exp(min(self._max_log - tot.log_magnitude, 700.0))
+        return math.exp(min(self._max_log - total.log_magnitude, 700.0))
+
+
+def _partial_sum(total: SignedLogValue) -> float:
+    # the sum as a float for NonConvergenceError, inf when beyond the double range
+    if total.log_magnitude < 700.0:
+        return total.to_float()
+    return math.copysign(math.inf, total.sign)
+
+
+def _sum_series(steps, controls: SeriesControls, what: str) -> float:
+    """Sum a series given as an unbounded iterable of steps.
+
+    Each step is (terms, entries): the number of series terms it holds
+    (one outer index, or one (j, k) pair of a double series) and their
+    accumulator entries as (log magnitude, sign) pairs. A step is quiet
+    when its largest entry is below controls.tol_rel times the running
+    sum; the sum stops after three consecutive quiet steps. Raises
+    NonConvergenceError, carrying the partial sum and the terms used, when
+    a step that does not complete the quiet run takes the term count past
+    controls.max_terms, or when the largest entry exceeds the final sum by
+    more than CANCELLATION_LIMIT. `what` names the series in messages.
+    """
+    log_tol = math.log(controls.tol_rel)
+    acc = SignedLogAccumulator()
+    add = acc.add
+    quiet = 0
+    terms = 0
+    for count, entries in steps:
+        step_max = -math.inf
+        for log_magnitude, sign in entries:
+            add(log_magnitude, sign)
+            if log_magnitude > step_max:
+                step_max = log_magnitude
+        terms += count
+        if step_max < acc.estimate_log() + log_tol:
+            quiet += 1
+            if quiet == 3:
+                break
+        else:
+            quiet = 0
+        if terms > controls.max_terms:
+            raise NonConvergenceError(
+                f"{what} did not converge within {controls.max_terms} terms",
+                partial_sum=_partial_sum(acc.total()),
+                terms_used=terms,
+            )
+    total = acc.total()
+    condition = acc.condition(total)
+    if condition > CANCELLATION_LIMIT:
+        raise NonConvergenceError(
+            f"{what} cancellation exceeds double precision (condition ~ {condition:.2e})",
+            partial_sum=_partial_sum(total),
+            terms_used=terms,
+        )
+    return total.to_float()
+
+
+def _check_cancellation_budget(abs_d: float, a: float, t: float, what: str) -> None:
+    """Refuse before summing a series in d^j t^(a j) whose terms peak far
+    beyond the cancellation budget.
+
+    The peak log-magnitude of such terms is ~ |d|^(1/a) * t; past the
+    budget the double-precision sum would be pure noise.
+    """
+    if abs_d > 1.0:
+        lu = math.log(abs_d) / a + math.log(t)
+        if lu > math.log(_LOG_CANCELLATION_LIMIT + 5.0 + abs(math.log(t))):
+            raise NonConvergenceError(
+                f"{what} for |d|={abs_d:g}, a={a:g}, t={t:g} exceeds the "
+                "double-precision cancellation budget"
+            )
 
 
 def bessel(kind: str, order: int, x: float) -> float:
@@ -179,13 +259,6 @@ class GFunctionArgs:
     t: float
 
 
-def _series_hopeless(log_abs_d: float, a: float, t: float) -> bool:
-    # Peak log-magnitude of the j-series is ~ |d|^(1/a) * t; beyond the
-    # cancellation budget the double-precision sum would be pure noise.
-    lu = log_abs_d / a + math.log(t)
-    return lu > math.log(_LOG_CANCELLATION_LIMIT + 5.0 + abs(math.log(t)))
-
-
 def g_function(args: GFunctionArgs, controls: SeriesControls = _DEFAULT_CONTROLS) -> float:
     """Evaluate the generalized G-function by signed log-space summation.
 
@@ -214,48 +287,21 @@ def g_function(args: GFunctionArgs, controls: SeriesControls = _DEFAULT_CONTROLS
             f"series order parameter a={a:g} below {_MIN_SERIES_ORDER}; "
             "the power series degenerates, use Laplace inversion instead",
         )
+    _check_cancellation_budget(abs(d), a, t, "g_function series")
     log_abs_d = math.log(abs(d))
-    if abs(d) > 1.0 and _series_hopeless(log_abs_d, a, t):
-        raise NonConvergenceError(
-            f"series for a={a:g}, d={d:g}, t={t:g} exceeds the double-precision "
-            "cancellation budget",
-        )
-
     sign_d = 1 if d > 0 else -1
-    log_tol = math.log(controls.tol_rel)
-    acc = SignedLogAccumulator()
-    quiet = 0
-    for j in range(controls.max_terms):
-        e = (c + j) * a - b
-        log_term = (
-            math.lgamma(c + j)
-            - lgc
-            - math.lgamma(j + 1.0)
-            + j * log_abs_d
-            + (e - 1.0) * lt
-            - math.lgamma(e)
-        )
-        acc.add(log_term, sign_d**j if sign_d < 0 else 1)
-        if log_term < acc.estimate_log() + log_tol:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        est = acc.estimate_log()
-        partial = 0.0 if est == -math.inf else math.copysign(math.exp(min(est, 700.0)), acc._acc)
-        raise NonConvergenceError(
-            f"g_function did not converge within {controls.max_terms} terms",
-            partial_sum=partial,
-            terms_used=len(acc),
-        )
-    total = acc.total()
-    if acc.condition() > CANCELLATION_LIMIT:
-        raise NonConvergenceError(
-            "g_function series cancellation exceeds double precision "
-            f"(condition ~ {acc.condition():.2e})",
-            partial_sum=total.to_float() if total.log_magnitude < 700 else math.inf,
-            terms_used=len(acc),
-        )
-    return total.to_float()
+
+    def steps():
+        for j in itertools.count():
+            e = (c + j) * a - b
+            log_term = (
+                math.lgamma(c + j)
+                - lgc
+                - math.lgamma(j + 1.0)
+                + j * log_abs_d
+                + (e - 1.0) * lt
+                - math.lgamma(e)
+            )
+            yield 1, ((log_term, sign_d**j if sign_d < 0 else 1),)
+
+    return _sum_series(steps(), controls, "g_function series")

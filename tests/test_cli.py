@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gsgflow import solution
-from gsgflow.cli import EXIT_INVALID_INPUT, EXIT_OK, main
+from gsgflow.cli import EXIT_INVALID_INPUT, EXIT_NON_CONVERGENCE, EXIT_OK, main
 
 
 def run(tmp_path, *argv):
@@ -212,6 +212,15 @@ class TestStress:
         assert invalid_input(capsys, ["stress", "--t-max", "nan", *out], "t-max")
         assert invalid_input(capsys, ["stress", "--t-max", "-1", *out], "t-max")
 
+    def test_beta1_series_refuses_cancellation(self, tmp_path):
+        # with alpha1 = 0 the beta = 1 series at t = 10 cannot carry its
+        # cancellation in double precision; it must not print a wrong tau
+        cfg = tmp_path / "newtonian.cfg"
+        cfg.write_text("alpha1 = 0\n")
+        argv = ["stress", "--betas", "1", "--t", "10", "--config", str(cfg), "--no-timestamp"]
+        assert run(tmp_path, *argv, "--strategy", "series")[0] == EXIT_NON_CONVERGENCE
+        assert run(tmp_path, *argv, "--strategy", "laplace")[0] == EXIT_OK
+
     def test_zero_time_with_fractional_order_rejected(self, tmp_path):
         code = main(["stress", "--t", "0", "--betas", "0.5",
                      "--out", str(tmp_path / "x.csv")])
@@ -279,6 +288,13 @@ class TestDeterminismAndConfig:
             cfg.write_text(line + "\n")
             assert invalid_input(capsys, ["roots", "--config", str(cfg),
                                           "--out", str(tmp_path / "x.csv")], name)
+
+    def test_non_finite_grid_rejected(self, tmp_path, capsys):
+        for line, name in (("dt = nan", "dt"), ("t_end = inf", "t_end")):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(line + "\n")
+            assert invalid_input(capsys, ["validate", "--level", "full", "--config", str(cfg),
+                                          "--out", str(tmp_path / "r.json")], name)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"

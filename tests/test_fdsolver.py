@@ -67,6 +67,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(nr=16, dt=1e-2, t_end=1e-3)
 
+    def test_non_finite_steps_rejected(self):
+        for dt, t_end, name in ((math.nan, 10.0, "dt"), (math.inf, 10.0, "dt"),
+                                (1e-3, math.inf, "t_end"), (1e-3, math.nan, "t_end")):
+            with pytest.raises(ValueError, match=name):
+                GridSpec(nr=400, dt=dt, t_end=t_end)
+
 
 class TestSolve:
     def test_zero_forcing_stays_at_rest(self):

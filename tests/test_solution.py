@@ -112,6 +112,16 @@ class TestVelocity:
             b = velocity_sg_closed(p, GEOM, EIG, r, t, c).omega
             assert a == pytest.approx(b, rel=1e-8)
 
+    def test_beta1_series_refuses_cancellation(self):
+        # with alpha1 = 0 nothing damps the alternating k-series: at t = 10
+        # its largest terms exceed the kernel by more than CANCELLATION_LIMIT
+        p = params(1.0, alpha1=0.0)
+        c = SeriesControls(n_modes=50, strategy=Strategy.DOUBLE_SERIES)
+        with pytest.raises(ModeEvaluationError):
+            velocity(p, GEOM, EIG, 2.5, 10.0, c)
+        a = velocity(p, GEOM, EIG, 2.5, 5.0, c).omega
+        assert a == pytest.approx(velocity_sg_closed(p, GEOM, EIG, 2.5, 5.0, c).omega, rel=1e-8)
+
     def test_strategies_agree(self):
         p = params(0.5)
         vals = [
@@ -232,6 +242,14 @@ class TestShearStress:
             a = shear_stress(p, GEOM, EIG, r, t, c).tau
             b = shear_stress_sg_closed(p, GEOM, EIG, r, t, c).tau
             assert a == pytest.approx(b, rel=1e-8)
+
+    def test_beta1_series_refuses_cancellation(self):
+        p = params(1.0, alpha1=0.0)
+        c = SeriesControls(n_modes=50, strategy=Strategy.DOUBLE_SERIES)
+        with pytest.raises(ModeEvaluationError):
+            shear_stress(p, GEOM, EIG, 2.5, 10.0, c)
+        a = shear_stress(p, GEOM, EIG, 2.5, 5.0, c).tau
+        assert a == pytest.approx(shear_stress_sg_closed(p, GEOM, EIG, 2.5, 5.0, c).tau, rel=1e-8)
 
     def test_zero_time_requires_beta_one(self):
         with pytest.raises(DomainError):

@@ -5,11 +5,14 @@ first zero, extended-precision Bessel evaluation through mpmath, and the
 Stehfest inversion for the G-function cross-check.
 """
 
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsgflow import (
     DomainError,
@@ -25,6 +28,7 @@ from gsgflow import (
     g_function,
     invert_stehfest,
 )
+from gsgflow.special import CANCELLATION_LIMIT, _sum_series
 
 
 def j0_power_series(x, terms=60):
@@ -202,7 +206,85 @@ class TestSignedLogAccumulation:
         acc.add(10.0, 1)
         acc.add(10.0, -1)
         acc.add(0.0, 1)
-        assert acc.condition() == pytest.approx(math.exp(10.0), rel=1e-9)
+        assert acc.condition(acc.total()) == pytest.approx(math.exp(10.0), rel=1e-9)
+
+
+def single(*entries):
+    """Steps of one term each, one (log magnitude, sign) entry per term."""
+    return [(1, (entry,)) for entry in entries]
+
+
+def quiet_tail():
+    """Entries that shrink by e^-10 per step: quiet after a few steps."""
+    return ((1, ((-60.0 - 10.0 * i, 1),)) for i in itertools.count())
+
+
+class TestSumSeries:
+    entry = st.tuples(st.floats(-40.0, 40.0), st.sampled_from((-1, 1)))
+    # a pair of equal and opposite large terms makes the sum cancel
+    step = st.one_of(
+        st.tuples(st.integers(1, 3), st.lists(entry, max_size=4)),
+        st.floats(20.0, 40.0).map(lambda l: (2, [(l, 1), (l, -1)])),
+    )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(step, max_size=30), st.integers(1, 200), st.booleans())
+    def test_accepts_fsum_or_refuses_with_state(self, head, max_terms, loud_tail):
+        # a loud tail of e^40 terms never goes quiet and must hit the cap
+        tail = itertools.repeat((1, ((40.0, 1),))) if loud_tail else quiet_tail()
+        consumed, terms = [], 0
+
+        def steps():
+            nonlocal terms
+            for count, entries in itertools.chain(head, tail):
+                consumed.extend(entries)
+                terms += count
+                yield count, entries
+
+        controls = SeriesControls(max_terms=max_terms)
+        try:
+            got = _sum_series(steps(), controls, "test series")
+        except NonConvergenceError as exc:
+            assert exc.terms_used == terms
+            assert not math.isnan(exc.partial_sum)
+            assert terms > max_terms or "cancellation" in str(exc)
+            return
+        # the accumulator's total is log|fsum| of the materialized terms,
+        # bit for bit; the float returned is that signed-log value
+        want = math.fsum(s * math.exp(l) for l, s in consumed)
+        assert got == SignedLogValue.from_float(want).to_float()
+        assert max(math.exp(l) for l, _ in consumed) <= CANCELLATION_LIMIT * abs(want)
+
+    def test_quiet_run_may_finish_one_step_past_the_cap(self):
+        # the quiet run of steps 2-4 completes on step 4: accepted with
+        # max_terms = 3; with max_terms = 2 step 3 (not finishing) refuses
+        steps = single((0.0, 1), (-100.0, 1), (-100.0, 1), (-100.0, 1))
+        assert _sum_series(iter(steps), SeriesControls(max_terms=3), "s") == 1.0
+        with pytest.raises(NonConvergenceError) as exc_info:
+            _sum_series(iter(steps), SeriesControls(max_terms=2), "s")
+        assert exc_info.value.terms_used == 3
+        assert exc_info.value.partial_sum == 1.0
+
+    def test_cap_counts_terms_not_entries(self):
+        # a double-series step holds several (j, k) pairs, and a stress
+        # bracket gives each pair two entries
+        loud = itertools.repeat((4, ((40.0, 1), (40.0, 1))))
+        with pytest.raises(NonConvergenceError) as exc_info:
+            _sum_series(loud, SeriesControls(max_terms=10), "s")
+        assert exc_info.value.terms_used == 12
+
+    def test_cancellation_refuses_with_partial_sum(self):
+        steps = itertools.chain(single((30.0, 1), (30.0, -1), (0.0, 1)), quiet_tail())
+        with pytest.raises(NonConvergenceError, match="cancellation") as exc_info:
+            _sum_series(steps, SeriesControls(), "s")
+        assert exc_info.value.partial_sum == pytest.approx(1.0, rel=1e-12)
+        assert exc_info.value.terms_used == 6
+
+    def test_partial_sum_beyond_double_range_is_inf(self):
+        steps = itertools.repeat((1, ((800.0, -1),)))
+        with pytest.raises(NonConvergenceError) as exc_info:
+            _sum_series(steps, SeriesControls(max_terms=2), "s")
+        assert exc_info.value.partial_sum == -math.inf
 
 
 class TestGFunction:
