@@ -347,9 +347,11 @@ def _add_common(parser):
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--modes", type=int, help="override the number of series modes")
-    parser.add_argument("--tol", type=float, help="override the series stopping tolerance")
+    parser.add_argument("--tol", type=float,
+                        help="override the stopping tolerance of the series strategies")
     parser.add_argument("--strategy", choices=sorted(_STRATEGIES),
-                        help="kernel evaluation strategy")
+                        help="kernel evaluation strategy: auto and laplace invert on a "
+                             "Talbot contour, series and gseries sum the paper's series")
     parser.add_argument("--approx-roots", action="store_true",
                         help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
     parser.add_argument("--no-timestamp", action="store_true",

@@ -18,15 +18,18 @@ class SeriesControls:
     """Truncation caps and tolerances for all series evaluation.
 
     n_modes: number of radial eigenmodes summed.
-    tol_rel: relative quiescence tolerance for the term-stopping rule.
-    max_terms: hard cap on terms per series before a non-convergence error;
+    tol_rel: relative quiescence tolerance for the term-stopping rule of the
+        series routes.
+    max_terms: hard cap on terms per series route before a non-convergence error;
         a term is one outer index of a single-index series (the G-function,
         the G-series over k, the beta = 1 series) and one (j, k) pair of the
         double series. The cap is checked after each step that does not
         complete the three-step quiet run.
-    strategy: kernel evaluation route; AUTO picks the series for beta <= 0.9
-        (falling back per mode to Laplace inversion on refusal) and Laplace
-        inversion for beta > 0.9.
+    strategy: kernel evaluation route. AUTO (the default) and MODE_LAPLACE
+        invert every mode on a fixed Talbot contour at any beta;
+        DOUBLE_SERIES and G_SERIES sum the paper's series per mode and
+        refuse when a mode's series does. tol_rel and max_terms govern only
+        the series routes.
     """
 
     n_modes: int = 50

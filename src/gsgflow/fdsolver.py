@@ -34,6 +34,8 @@ class GridSpec:
     t_end: float
 
     def __post_init__(self):
+        if isinstance(self.nr, bool) or not isinstance(self.nr, (int, np.integer)):
+            raise ValueError(f"nr must be an integer, got {self.nr!r}")
         if self.nr < 8:
             raise ValueError("nr must be >= 8")
         for name in ("dt", "t_end"):

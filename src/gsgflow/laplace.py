@@ -1,16 +1,20 @@
 """Numerical inverse Laplace transformation of the per-mode image functions.
 
-Gaver-Stehfest was chosen because every transform here is smooth,
-non-oscillatory and evaluable on the positive real axis, so no complex
-arithmetic is needed. The binding contract is accuracy, not a particular
-weight table: the classic Stehfest sum at degree 16 carries an intrinsic
-~4e-8 error on L^-1{1/q^2} in any precision, so the scalar entry points
-run the sum at degree n_terms + 8 with exact rational weights and mpmath
-working precision, which restores the documented bounds while keeping the
-same real-axis node family q = k*ln2/t.
+Each image F(q) = 1 / (q [q + alpha rn2 q^beta + nu rn2]) is analytic off
+the negative real axis (the branch cut of q^beta, or at beta = 1 one
+negative pole, besides the pole at 0), so the Bromwich line deforms into
+Weideman's optimized Talbot contour (SIAM J. Numer. Anal. 44, 2006)
 
-A float64 batch variant (degree n_terms, vectorized over t) is provided
-for bulk sampling where ~1e-7 relative accuracy suffices.
+    q(theta) = (N/t) (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta),
+
+on which the trapezoidal rule converges geometrically. With N = 32 nodes in
+float64 every kernel here is within about 1e-13 of max |K| (against 48
+nodes and against mpmath's Talbot at 30 digits). The node weights do not
+depend on t, nor q^beta on the mode, so one call inverts an array of modes.
+
+Gaver-Stehfest (real-axis samples at mpmath precision, degree n_terms + 8
+with exact rational weights to clear the classic sum's ~4e-8 intrinsic
+error) is kept only as the scalar oracle of validate's stehfest_* checks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import numpy as np
 from .errors import DomainError
 
 _DEGREE_BOOST = 8
+
+# trapezoidal nodes on the Talbot contour; 48 move no kernel by 1e-12 of max |K|
+_NODES = 32
 
 
 def _check_n_terms(n_terms: int) -> None:
@@ -55,11 +62,6 @@ def stehfest_weights(degree: int) -> tuple:
     return tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _float_weights(degree: int) -> np.ndarray:
-    return np.array([float(v) for v in stehfest_weights(degree)])
-
-
 def invert_stehfest(f, t: float, n_terms: int = 16) -> float:
     """Invert a Laplace transform at time t from real-axis samples.
 
@@ -77,28 +79,17 @@ def invert_stehfest(f, t: float, n_terms: int = 16) -> float:
         return float(a * total)
 
 
-def invert_stehfest_batch(f, t: np.ndarray, n_terms: int = 16) -> np.ndarray:
-    """float64 Stehfest over an array of times; f maps a (degree, nt) array
-    of abscissae to transform values elementwise. Roughly 1e-7 relative
-    accuracy on the smooth kernels used here."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("invert_stehfest_batch requires t > 0")
-    _check_n_terms(n_terms)
-    weights = _float_weights(n_terms)
-    ln2_over_t = math.log(2.0) / t
-    q = np.outer(np.arange(1, n_terms + 1, dtype=float), ln2_over_t)
-    return ln2_over_t * np.tensordot(weights, f(q), axes=1)
-
-
 @dataclass(frozen=True)
 class ModeTransform:
-    """Per-mode image function F(q) = 1 / (q * [q + alpha*rn2*q^beta + nu*rn2])."""
+    """Per-mode image function F(q) = 1 / (q * [q + alpha*rn2*q^beta + nu*rn2]).
+
+    rn2 is one squared root r_n^2 or an array of them.
+    """
 
     nu: float
     alpha: float
     beta: float
-    rn2: float
+    rn2: float | np.ndarray
 
 
 def eval_transform(mt: ModeTransform, q):
@@ -111,15 +102,40 @@ def eval_transform(mt: ModeTransform, q):
     return 1.0 / (q * (q + (mt.alpha * mt.rn2) * q**mt.beta + mt.nu * mt.rn2))
 
 
-def invert_mode_velocity_kernel(mt: ModeTransform, t: float, n_terms: int = 16) -> float:
-    """Per-mode velocity time kernel L^-1{F}(t)."""
-    return invert_stehfest(lambda q: eval_transform(mt, q), t, n_terms)
+@lru_cache(maxsize=None)
+def _contour(nodes: int) -> tuple:
+    """(zeta, weight) at the nodes of the upper half of the contour, q = (N/t) zeta:
+    theta_k = (k + 1/2) 2pi/N and weight = e^(N zeta) dzeta/dtheta."""
+    theta = (np.arange(nodes // 2) + 0.5) * (2.0 * math.pi / nodes)
+    cot = 1.0 / np.tan(0.6407 * theta)
+    zeta = 0.5017 * theta * cot - 0.6122 + 0.2645j * theta
+    dzeta = 0.5017 * cot - 0.5017 * 0.6407 * theta / np.sin(0.6407 * theta) ** 2 + 0.2645j
+    return zeta, np.exp(nodes * zeta) * dzeta
 
 
-def invert_mode_stress_kernel(
-    mt: ModeTransform, mu: float, alpha1: float, t: float, n_terms: int = 16
-) -> float:
-    """Per-mode shear time kernel L^-1{(mu + alpha1*q^beta) * F(q)}(t)."""
-    return invert_stehfest(
-        lambda q: (mu + alpha1 * q**mt.beta) * eval_transform(mt, q), t, n_terms
-    )
+def invert_mode_velocity_kernel(mt: ModeTransform, t):
+    """Velocity time kernels L^-1{F}(t), with the shape of mt.rn2 and t
+    broadcast together."""
+    return invert_mode_stress_kernel(mt, 1.0, 0.0, t)
+
+
+def invert_mode_stress_kernel(mt: ModeTransform, mu: float, alpha1: float, t):
+    """Shear time kernels L^-1{(mu + alpha1*q^beta) * F(q)}(t), with the
+    shape of mt.rn2 and t broadcast together.
+
+    The image is conjugate-symmetric, so the trapezoidal sum is 2/N times
+    the imaginary part of the sum over the upper half of the contour. The
+    mode enters only through real-times-complex products and one
+    reciprocal, and the last products are real, so a mode's kernel does not
+    depend on which other modes share the call.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise DomainError("contour inversion requires finite t > 0")
+    zeta, weight = _contour(_NODES)
+    q = (_NODES / t)[..., None] * zeta
+    q_beta = q**mt.beta
+    weight = (2.0 / t)[..., None] * weight * (mu + alpha1 * q_beta)
+    rn2 = np.asarray(mt.rn2, dtype=float)[..., None]
+    image = 1.0 / (q * q + (mt.alpha * rn2) * (q * q_beta) + (mt.nu * rn2) * q)
+    return (image.real * weight.imag + image.imag * weight.real).sum(axis=-1)

@@ -8,9 +8,10 @@ t-linear part plus or minus pi * sum over radial modes n of
 Phi_n(r) C_n K_n(t), with Phi_n a wall cross-product, C_n fixed by the
 wall accelerations and K_n a time kernel that does not depend on r, so a
 block builds its kernels once. Kernels can be evaluated three ways
-(double power series, G-function series, numerical Laplace inversion);
-they agree where they all converge and the series routes refuse loudly
-where double precision cannot carry the cancellation.
+(double power series, G-function series, and, by default, numerical
+Laplace inversion on a Talbot contour); they agree where they all
+converge and the series routes refuse loudly where double precision
+cannot carry the cancellation.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .special import (
 )
 
 _DEFAULT_CONTROLS = SeriesControls()
-
-# AUTO switches from the power series to Laplace inversion above this order:
-# as beta -> 1 the series parameter a = 1 - beta degenerates.
-_AUTO_SERIES_BETA_MAX = 0.9
 
 
 @dataclass(frozen=True)
@@ -269,64 +266,31 @@ def _mode_kernels(params: FluidParams, eigenvalues: EigenvalueSet, t: float,
                   controls: SeriesControls, stress: bool) -> tuple:
     """Evaluate the per-mode time kernels for all requested modes.
 
-    Returns (kernels, strategy_tag). Explicit strategies raise
-    ModeEvaluationError on any refusing mode; AUTO falls back per mode to
-    Laplace inversion.
+    Returns (kernels, strategy_tag). The series strategies sum each mode's
+    series and raise ModeEvaluationError on any refusing mode; AUTO and
+    MODE_LAPLACE invert every mode in one call on the Talbot contour.
     """
-    nu, alpha, beta = params.nu, params.alpha, params.beta
     rn2 = eigenvalues.roots[: controls.n_modes] ** 2
-    kernels = np.empty(controls.n_modes)
-
-    def laplace_one(x2):
-        mt = ModeTransform(nu=nu, alpha=alpha, beta=beta, rn2=x2)
-        if stress:
-            return invert_mode_stress_kernel(mt, params.mu, params.alpha1, t)
-        return invert_mode_velocity_kernel(mt, t)
-
-    def series_one(x2):
-        return _double_series_kernel(
-            nu * x2, alpha * x2, beta, t, controls,
-            stress=stress, mu=params.mu, alpha1=params.alpha1,
-        )
-
-    def gseries_one(x2):
-        return _gseries_kernel(
-            nu * x2, alpha * x2, beta, t, controls,
-            stress=stress, mu=params.mu, alpha1=params.alpha1,
-        )
-
     strategy = controls.strategy
-    if strategy == Strategy.MODE_LAPLACE:
-        for i, x2 in enumerate(rn2):
-            kernels[i] = laplace_one(x2)
-        return kernels, "laplace"
-
     if strategy in (Strategy.DOUBLE_SERIES, Strategy.G_SERIES):
-        one = series_one if strategy == Strategy.DOUBLE_SERIES else gseries_one
+        nu, alpha, beta = params.nu, params.alpha, params.beta
+        one = _double_series_kernel if strategy == Strategy.DOUBLE_SERIES else _gseries_kernel
         tag = "double-series" if strategy == Strategy.DOUBLE_SERIES else "g-series"
+        kernels = np.empty(controls.n_modes)
         for i, x2 in enumerate(rn2):
             try:
-                kernels[i] = one(x2)
+                kernels[i] = one(nu * x2, alpha * x2, beta, t, controls,
+                                 stress=stress, mu=params.mu, alpha1=params.alpha1)
             except NonConvergenceError as exc:
                 raise ModeEvaluationError(
                     f"mode {i + 1} ({tag}): {exc}", mode=i + 1, strategy=tag
                 ) from exc
         return kernels, tag
 
-    # AUTO
-    if beta > _AUTO_SERIES_BETA_MAX:
-        for i, x2 in enumerate(rn2):
-            kernels[i] = laplace_one(x2)
-        return kernels, "auto:laplace"
-    fallbacks = 0
-    for i, x2 in enumerate(rn2):
-        try:
-            kernels[i] = series_one(x2)
-        except NonConvergenceError:
-            kernels[i] = laplace_one(x2)
-            fallbacks += 1
-    tag = "auto:double-series" if fallbacks == 0 else "auto:double-series+laplace"
-    return kernels, tag
+    mt = ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=rn2)
+    if stress:
+        return invert_mode_stress_kernel(mt, params.mu, params.alpha1, t), "laplace"
+    return invert_mode_velocity_kernel(mt, t), "laplace"
 
 
 # ---------------------------------------------------------------------------

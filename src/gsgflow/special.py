@@ -144,7 +144,8 @@ def _sum_series(steps, controls: SeriesControls, what: str) -> float:
     NonConvergenceError, carrying the partial sum and the terms used, when
     a step that does not complete the quiet run takes the term count past
     controls.max_terms, or when the largest entry exceeds the final sum by
-    more than CANCELLATION_LIMIT. `what` names the series in messages.
+    more than CANCELLATION_LIMIT, or when the sum is beyond the double
+    range. `what` names the series in messages.
     """
     log_tol = math.log(controls.tol_rel)
     acc = SignedLogAccumulator()
@@ -178,7 +179,14 @@ def _sum_series(steps, controls: SeriesControls, what: str) -> float:
             partial_sum=_partial_sum(total),
             terms_used=terms,
         )
-    return total.to_float()
+    try:
+        return total.to_float()
+    except OverflowError:
+        raise NonConvergenceError(
+            f"{what} sum exceeds the double range",
+            partial_sum=math.copysign(math.inf, total.sign),
+            terms_used=terms,
+        ) from None
 
 
 def _check_cancellation_budget(abs_d: float, a: float, t: float, what: str) -> None:

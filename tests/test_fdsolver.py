@@ -67,6 +67,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(nr=16, dt=1e-2, t_end=1e-3)
 
+    def test_non_integral_nr_rejected(self):
+        # nr counts grid points: floats, bools and strings are refused up front
+        for nr in (16.5, 16.0, True, "16"):
+            with pytest.raises(ValueError, match="nr must be an integer"):
+                GridSpec(nr=nr, dt=1e-2, t_end=0.1)
+        assert GridSpec(nr=np.int64(16), dt=1e-2, t_end=0.1).nr == 16
+
     def test_non_finite_steps_rejected(self):
         for dt, t_end, name in ((math.nan, 10.0, "dt"), (math.inf, 10.0, "dt"),
                                 (1e-3, math.inf, "t_end"), (1e-3, math.nan, "t_end")):

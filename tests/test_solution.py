@@ -130,17 +130,19 @@ class TestVelocity:
         ]
         assert max(vals) - min(vals) < 1e-6 * abs(vals[0])
 
-    def test_auto_falls_back_per_mode(self):
-        p = params(0.5)
-        fs = velocity(p, GEOM, EIG, 2.5, 10.0, SeriesControls(n_modes=50))
-        assert fs.strategy_used == "auto:double-series+laplace"
-        lap = velocity(p, GEOM, EIG, 2.5, 10.0,
-                       SeriesControls(n_modes=50, strategy=Strategy.MODE_LAPLACE)).omega
-        assert fs.omega == pytest.approx(lap, abs=1e-7 * max(1.0, abs(lap)))
-
-    def test_auto_uses_laplace_near_beta_one(self):
-        fs = velocity(params(0.95), GEOM, EIG, 2.0, 1.0, SeriesControls(n_modes=20))
-        assert fs.strategy_used == "auto:laplace"
+    def test_auto_is_laplace_at_every_beta(self):
+        # one contour route: no per-mode series attempt, no fallback tag
+        auto = SeriesControls(n_modes=50)
+        lap = SeriesControls(n_modes=50, strategy=Strategy.MODE_LAPLACE)
+        for beta in (0.3, 0.6, 0.9, 0.95, 1.0):
+            p = params(beta)
+            for t in (0.5, 10.0):
+                for stress in (False, True):
+                    k_auto, tag_auto = _mode_kernels(p, EIG, t, auto, stress=stress)
+                    k_lap, tag_lap = _mode_kernels(p, EIG, t, lap, stress=stress)
+                    assert np.array_equal(k_auto, k_lap)
+                    assert tag_auto == tag_lap == "laplace"
+            assert velocity(p, GEOM, EIG, 2.5, 10.0, auto).strategy_used == "laplace"
 
     def test_explicit_gseries_refuses_near_beta_one(self):
         with pytest.raises(ModeEvaluationError) as exc_info:

@@ -314,6 +314,13 @@ class TestGFunction:
         want = invert_stehfest(lambda q: q**-1.5 / (q**0.5 + 1.0), 1.0)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_sum_beyond_double_range_refuses(self):
+        # exp(750) converges in signed-log form but has no float64 value
+        with pytest.raises(NonConvergenceError, match="double range") as exc_info:
+            g_function(GFunctionArgs(a=1.0, b=0.0, c=1.0, d=1.0, t=750.0))
+        assert exc_info.value.partial_sum == math.inf
+        assert exc_info.value.terms_used > 750
+
     def test_convergence_precondition(self):
         with pytest.raises(DomainError):
             g_function(GFunctionArgs(a=0.5, b=2.0, c=1.0, d=0.5, t=1.0))
@@ -321,8 +328,7 @@ class TestGFunction:
             g_function(GFunctionArgs(a=0.5, b=-1.0, c=1.0, d=0.5, t=-2.0))
 
     def test_degenerate_order_refuses(self):
-        # a < 0.05 has no usable convergence rate; caller falls back to
-        # Laplace inversion
+        # a < 0.05 has no usable convergence rate
         with pytest.raises(NonConvergenceError):
             g_function(GFunctionArgs(a=0.01, b=-1.5, c=1.0, d=-0.5, t=1.0))
 
