@@ -33,7 +33,9 @@ from .errors import (
     NonConvergenceError,
     RootScanError,
 )
-from .solution import AnnulusGeometry, FluidParams, shear_stress, velocity, velocity_sg_closed
+from .solution import AnnulusGeometry, FluidParams, field_block
+# unused here but traced on this module by perfbench/spans.py; ROADMAP item 1 removes the need
+from .solution import shear_stress, velocity, velocity_sg_closed  # noqa: F401
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -203,14 +205,6 @@ def _curve_family(config: RunConfig, betas: list) -> list:
     return fam
 
 
-def _velocity_for(params: FluidParams, config: RunConfig, eig, r: np.ndarray,
-                  t: float) -> np.ndarray:
-    """omega at the radii r at time t: one block, so the kernels are built once."""
-    if params.beta == 1.0:
-        return velocity_sg_closed(params, config.geometry, eig, r, t, config.controls).omega
-    return velocity(params, config.geometry, eig, r, t, config.controls).omega
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -227,16 +221,14 @@ def cmd_roots(config: RunConfig, args) -> int:
 
 
 def cmd_profile(config: RunConfig, args) -> int:
-    t = args.t
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ConfigError(f"t must be finite and >= 0, got {t!r}")
     betas = _beta_list(args.betas)
     if args.r_steps < 2:
         raise ConfigError("r-steps must be >= 2")
     r_values = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
     family = _curve_family(config, betas)
     eig = config.eigenvalues()
-    curves = [_velocity_for(params, config, eig, r_values, t) for _, params in family]
+    curves = [field_block(params, config.geometry, eig, r_values, args.t, config.controls).omega
+              for _, params in family]
     rows = [(r, tag, omega[i]) for i, r in enumerate(r_values)
             for (tag, _), omega in zip(family, curves)]
     _write_table(args.out, args.format, ["r", "beta", "omega"], rows, config.timestamp)
@@ -245,9 +237,6 @@ def cmd_profile(config: RunConfig, args) -> int:
 
 def cmd_history(config: RunConfig, args) -> int:
     r_list = _float_list(args.r_list, "r")
-    for r in r_list:
-        if not config.geometry.R1 <= r <= config.geometry.R2:
-            raise ConfigError(f"r={r} outside the annulus")
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
     if args.t_steps < 1:
@@ -258,12 +247,10 @@ def cmd_history(config: RunConfig, args) -> int:
         t_values = t_values[1:]
     family = _curve_family(config, betas)
     eig = config.eigenvalues()
-    radii = np.array(r_list)
-    rows = []
-    for t in t_values:
-        curves = [_velocity_for(params, config, eig, radii, float(t)) for _, params in family]
-        rows.extend((t, r, tag, omega[i]) for i, r in enumerate(r_list)
-                    for (tag, _), omega in zip(family, curves))
+    curves = [field_block(params, config.geometry, eig, r_list, t_values, config.controls).omega
+              for _, params in family]
+    rows = [(t, r, tag, omega[i, j]) for j, t in enumerate(t_values) for i, r in enumerate(r_list)
+            for (tag, _), omega in zip(family, curves)]
     _write_table(args.out, args.format, ["t", "r", "beta", "omega"], rows, config.timestamp)
     return EXIT_OK
 
@@ -271,30 +258,24 @@ def cmd_history(config: RunConfig, args) -> int:
 def cmd_stress(config: RunConfig, args) -> int:
     betas = _beta_list(args.betas)
     eig = config.eigenvalues()
-    rows = []
     if args.t_max is not None:
         if not (math.isfinite(args.t_max) and args.t_max > 0.0):
             raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
         radii = np.array(_float_list(args.r_list, "r"))
         if args.t_steps < 1:
             raise ConfigError("t-steps must be >= 1")
-        t_values = [float(t) for t in np.linspace(0.0, args.t_max, args.t_steps + 1)[1:]]
+        t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)[1:]
     else:
-        if not (math.isfinite(args.t) and args.t >= 0.0):
-            raise ConfigError(f"t must be finite and >= 0, got {args.t!r}")
         if args.r_steps < 2:
             raise ConfigError("r-steps must be >= 2")
         radii = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
-        t_values = [args.t]
-    if any(beta < 1.0 for beta in betas) and 0.0 in t_values:
-        raise ConfigError("shear stress requires t > 0 for beta < 1")
+        t_values = np.array([args.t])
     family = [FluidParams(mu=config.params.mu, alpha1=config.params.alpha1,
                           rho=config.params.rho, beta=beta) for beta in betas]
-    for t in t_values:
-        curves = [shear_stress(params, config.geometry, eig, radii, t, config.controls).tau
-                  for params in family]
-        rows.extend((r, t, beta, tau[i]) for i, r in enumerate(radii)
-                    for beta, tau in zip(betas, curves))
+    curves = [field_block(params, config.geometry, eig, radii, t_values, config.controls,
+                          stress=True).tau for params in family]
+    rows = [(r, t, beta, tau[i, j]) for j, t in enumerate(t_values) for i, r in enumerate(radii)
+            for beta, tau in zip(betas, curves)]
     _write_table(args.out, args.format, ["r", "t", "beta", "tau"], rows, config.timestamp)
     return EXIT_OK
 
@@ -350,8 +331,10 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float,
                         help="override the stopping tolerance of the series strategies")
     parser.add_argument("--strategy", choices=sorted(_STRATEGIES),
-                        help="kernel evaluation strategy: auto and laplace invert on a "
-                             "Talbot contour, series and gseries sum the paper's series")
+                        help="kernel evaluation strategy for every curve, the beta = 1 and "
+                             "Newtonian ones included: laplace inverts on a Talbot contour, "
+                             "series and gseries sum the paper's series, auto takes the "
+                             "exact exponential kernel at beta = 1 and the contour otherwise")
     parser.add_argument("--approx-roots", action="store_true",
                         help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -426,6 +409,10 @@ def main(argv=None) -> int:
     except (NonConvergenceError, ModeEvaluationError, RootScanError) as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
+    except OSError as exc:
+        # an unreadable --config or unwritable --out; str(exc) names the path
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 
 class Strategy(Enum):
@@ -25,10 +26,11 @@ class SeriesControls:
         the G-series over k, the beta = 1 series) and one (j, k) pair of the
         double series. The cap is checked after each step that does not
         complete the three-step quiet run.
-    strategy: kernel evaluation route. AUTO (the default) and MODE_LAPLACE
-        invert every mode on a fixed Talbot contour at any beta;
-        DOUBLE_SERIES and G_SERIES sum the paper's series per mode and
-        refuse when a mode's series does. tol_rel and max_terms govern only
+    strategy: kernel evaluation route. AUTO (the default) takes the exact
+        exponential kernel at beta = 1 and, like MODE_LAPLACE at every beta,
+        inverts all modes on a fixed Talbot contour at beta < 1;
+        DOUBLE_SERIES and G_SERIES sum the paper's series per mode and time
+        and refuse when one of them does. tol_rel and max_terms govern only
         the series routes.
     """
 
@@ -38,6 +40,10 @@ class SeriesControls:
     strategy: Strategy = Strategy.AUTO
 
     def __post_init__(self):
+        for name in ("n_modes", "max_terms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if not 0.0 < self.tol_rel < 1.0:

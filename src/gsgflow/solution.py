@@ -3,22 +3,22 @@ grade fluid in an annulus: velocity, shear stress, the beta = 1 closed
 forms and the Newtonian limit (Omega1 = 0 gives the inner cylinder at
 rest).
 
-Every field is evaluated on a block of radii at one time t: a steady
-t-linear part plus or minus pi * sum over radial modes n of
-Phi_n(r) C_n K_n(t), with Phi_n a wall cross-product, C_n fixed by the
-wall accelerations and K_n a time kernel that does not depend on r, so a
-block builds its kernels once. Kernels can be evaluated three ways
-(double power series, G-function series, and, by default, numerical
-Laplace inversion on a Talbot contour); they agree where they all
-converge and the series routes refuse loudly where double precision
-cannot carry the cancellation.
+Every field is evaluated on a block of radii r[] x times t[] by field_block:
+a steady t-linear part plus or minus pi * sum over radial modes n of
+Phi_n(r) C_n K_n(t), one matrix product of Phi[r, mode] (wall
+cross-products) and C_n K[mode, t], with K built once per block. Kernels
+can be evaluated three ways (double power series, G-function series, and,
+by default, numerical Laplace inversion on a Talbot contour, or the exact
+exponential kernel at beta = 1); they agree where they all converge and the
+series routes refuse loudly where double precision cannot carry the
+cancellation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -90,32 +90,40 @@ class AnnulusGeometry:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """A field evaluated on a block of radii at one time t.
+    """A field evaluated on a block of radii r x times t.
 
-    r, omega and tau have the shape of the radii requested: scalars for one
-    radius, 1-D arrays for an array of radii. A velocity sample carries
-    tau = None, a shear stress sample omega = nan.
+    r and t are each a scalar or a 1-D array, as requested; omega and tau
+    have the shape r.shape + t.shape (a scalar for one radius at one time,
+    [r, t] for arrays of both). A velocity sample carries tau = None, a
+    shear stress sample omega = nan.
     """
 
     r: float | np.ndarray
-    t: float
+    t: float | np.ndarray
     omega: float | np.ndarray
     tau: Optional[float | np.ndarray]
     strategy_used: str
     modes_used: int
 
 
-def _radii(geometry: AnnulusGeometry, r, t: float) -> np.ndarray:
-    """r as a float array (0-d for one radius) once every radius is checked
-    to lie in the annulus and t to be a finite time >= 0."""
+def _radii(geometry: AnnulusGeometry, r) -> np.ndarray:
+    """r as a float array (0-d for one radius), every radius checked to be in the annulus."""
     r = np.asarray(r, dtype=float)
     inside = (geometry.R1 <= r) & (r <= geometry.R2)
     if not np.all(inside):
         outside = float(np.extract(~inside, r)[0])
         raise DomainError(f"r={outside!r} outside annulus [{geometry.R1}, {geometry.R2}]")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got t={t!r}")
     return r
+
+
+def _times(t) -> np.ndarray:
+    """t as a float array (0-d for one time), every time checked to be finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    valid = (0.0 <= t) & (t < math.inf)
+    if not valid.all():
+        bad = float(np.extract(~valid, t)[0])
+        raise DomainError(f"t must be finite and >= 0, got t={bad!r}")
+    return t
 
 
 def _check_eigenvalues(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, n_modes: int) -> None:
@@ -132,13 +140,13 @@ def _check_eigenvalues(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, n_
         )
 
 
-def steady_part(geometry: AnnulusGeometry, r, t: float):
+def steady_part(geometry: AnnulusGeometry, r, t):
     """The t-linear large-time profile (first term of the velocity field)
-    at a radius or a 1-D array of radii."""
-    r = _radii(geometry, r, t)
+    on the block r x t, with shape r.shape + t.shape."""
+    r, t = _radii(geometry, r), _times(t)
     R1, R2 = geometry.R1, geometry.R2
     num = geometry.Omega1 * R1**2 * (R2**2 - r**2) + geometry.Omega2 * R2**2 * (r**2 - R1**2)
-    return num / ((R2**2 - R1**2) * r) * t
+    return np.multiply.outer(num / ((R2**2 - R1**2) * r), t)
 
 
 def mode_coefficients(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet) -> np.ndarray:
@@ -262,35 +270,63 @@ def _gseries_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
     return _sum_series(steps(), controls, "G-series")
 
 
-def _mode_kernels(params: FluidParams, eigenvalues: EigenvalueSet, t: float,
-                  controls: SeriesControls, stress: bool) -> tuple:
-    """Evaluate the per-mode time kernels for all requested modes.
+def _closed_kernels(params: FluidParams, rn2: np.ndarray, t: np.ndarray,
+                    stress: bool) -> np.ndarray:
+    """The exact beta = 1 (with alpha1 = 0, Newtonian) kernels, rn2 and t broadcast."""
+    nu, alpha = params.nu, params.alpha
+    z = nu * rn2 * t / (1.0 + alpha * rn2)
+    if stress:
+        return params.mu * (-np.expm1(-z)) / (nu * rn2) + params.alpha1 * np.exp(-z) / (1.0 + alpha * rn2)
+    return -np.expm1(-z) / (nu * rn2)
 
-    Returns (kernels, strategy_tag). The series strategies sum each mode's
-    series and raise ModeEvaluationError on any refusing mode; AUTO and
-    MODE_LAPLACE invert every mode in one call on the Talbot contour.
+
+def _mode_kernels(params: FluidParams, eigenvalues: EigenvalueSet, t,
+                  controls: SeriesControls, stress: bool) -> tuple:
+    """Evaluate the time kernels of all requested modes at every time in t.
+
+    Returns (kernels, strategy_tag), kernels of shape (n_modes,) + t.shape.
+    AUTO at beta = 1 takes the exact exponential kernel (closed-sg).
+    Otherwise the strategy's route serves every t > 0: the series
+    strategies sum one series per (mode, t) and raise ModeEvaluationError
+    on a refusal; AUTO and MODE_LAPLACE invert all of K[mode, t] in one
+    Talbot contour call. At t = 0 every velocity kernel is 0, the beta = 1
+    stress kernel (the elastic jump) is the exponential one and a beta < 1
+    stress kernel is refused.
     """
-    rn2 = eigenvalues.roots[: controls.n_modes] ** 2
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
+    rn2 = eigenvalues.roots[: controls.n_modes, None] ** 2
+    shape = rn2.shape[:1] + t.shape
     strategy = controls.strategy
+    if params.beta == 1.0 and strategy == Strategy.AUTO:
+        return _closed_kernels(params, rn2, times, stress).reshape(shape), "closed-sg"
+    kernels = np.zeros((len(rn2), len(times)))
+    live = times > 0.0
+    if stress and not live.all():
+        if params.beta != 1.0:
+            raise DomainError("shear stress requires t > 0 for beta < 1")
+        kernels[:, ~live] = _closed_kernels(params, rn2, times[~live], stress)
     if strategy in (Strategy.DOUBLE_SERIES, Strategy.G_SERIES):
         nu, alpha, beta = params.nu, params.alpha, params.beta
         one = _double_series_kernel if strategy == Strategy.DOUBLE_SERIES else _gseries_kernel
         tag = "double-series" if strategy == Strategy.DOUBLE_SERIES else "g-series"
-        kernels = np.empty(controls.n_modes)
-        for i, x2 in enumerate(rn2):
-            try:
-                kernels[i] = one(nu * x2, alpha * x2, beta, t, controls,
-                                 stress=stress, mu=params.mu, alpha1=params.alpha1)
-            except NonConvergenceError as exc:
-                raise ModeEvaluationError(
-                    f"mode {i + 1} ({tag}): {exc}", mode=i + 1, strategy=tag
-                ) from exc
-        return kernels, tag
-
-    mt = ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=rn2)
-    if stress:
-        return invert_mode_stress_kernel(mt, params.mu, params.alpha1, t), "laplace"
-    return invert_mode_velocity_kernel(mt, t), "laplace"
+        for i, x2 in enumerate(rn2[:, 0]):
+            for j in np.flatnonzero(live):
+                try:
+                    kernels[i, j] = one(nu * x2, alpha * x2, beta, float(times[j]), controls,
+                                        stress=stress, mu=params.mu, alpha1=params.alpha1)
+                except NonConvergenceError as exc:
+                    raise ModeEvaluationError(
+                        f"mode {i + 1} ({tag}): {exc}", mode=i + 1, strategy=tag
+                    ) from exc
+    else:
+        mt = ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=rn2)
+        if stress:
+            kernels[:, live] = invert_mode_stress_kernel(mt, params.mu, params.alpha1, times[live])
+        else:
+            kernels[:, live] = invert_mode_velocity_kernel(mt, times[live])
+        tag = "laplace"
+    return kernels.reshape(shape), tag
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +337,8 @@ def _mode_sum(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, r: np.ndarr
               kernels: np.ndarray, stress: bool = False) -> np.ndarray:
     """pi * sum_n Phi[r, n] C_n K[n], the series part of every field.
 
-    r is a checked 0-d or 1-D radius array; kernels is K[mode] at one t or
-    K[mode, t] over a time grid, and the result has shape
+    r is a checked radius array; kernels is K[mode] at one t or K[mode, t]
+    over an array of times, and the result has shape
     r.shape + kernels.shape[1:]. Phi_n(r) is B1(r r_n) for the velocity and
     2 B1(r r_n)/r - r_n B(r r_n) for the shear stress, built in one
     broadcast call per cross-product.
@@ -313,57 +349,16 @@ def _mode_sum(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, r: np.ndarr
     phi = cross_b1(rc, rn, geometry.R2)
     if stress:
         phi = 2.0 * phi / rc - rn * cross_b(rc, rn, geometry.R2)
-    coeffs = mode_coefficients(geometry, eigenvalues)[:n]
-    return math.pi * (phi @ (coeffs * kernels.T).T)
+    weighted = mode_coefficients(geometry, eigenvalues)[:n] * kernels.T
+    if kernels.ndim == 1:
+        return math.pi * (phi @ weighted)
+    # matmul batched over t: one matrix-vector product per time, so a time's
+    # values do not depend on which other times share the block
+    return math.pi * np.moveaxis((phi @ weighted[..., None])[..., 0], 0, -1)
 
 
-def _velocity_sample(geometry: AnnulusGeometry, eigenvalues: EigenvalueSet, r: np.ndarray,
-                     t: float, kernels: np.ndarray, tag: str) -> FieldSample:
-    omega = steady_part(geometry, r, t) - _mode_sum(geometry, eigenvalues, r, kernels)
-    return FieldSample(r=r[()], t=t, omega=omega, tau=None, strategy_used=tag,
-                       modes_used=len(kernels))
-
-
-def velocity(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-             r, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """Azimuthal velocity on a block of radii at one time t, by the selected
-    kernel strategy.
-
-    r is a radius or a 1-D array of radii; the mode kernels K_n(t) are built
-    once for the whole block. t = 0 short-circuits to the exact initial
-    condition omega = 0.
-    """
-    r = _radii(geometry, r, t)
-    _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
-    if t == 0.0:
-        return FieldSample(r=r[()], t=t, omega=np.zeros_like(r)[()], tau=None,
-                           strategy_used="zero-time", modes_used=0)
-    kernels, tag = _mode_kernels(params, eigenvalues, t, controls, stress=False)
-    return _velocity_sample(geometry, eigenvalues, r, t, kernels, tag)
-
-
-def velocity_sg_closed(params: FluidParams, geometry: AnnulusGeometry,
-                       eigenvalues: EigenvalueSet, r, t: float,
-                       controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """beta = 1 velocity on a block of radii at one time t, by the closed
-    exponential kernel.
-
-    With alpha1 = 0 this is the Newtonian start-up solution.
-    """
-    if params.beta != 1.0:
-        raise ContractError("velocity_sg_closed requires beta == 1")
-    r = _radii(geometry, r, t)
-    _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
-    if t == 0.0:
-        return FieldSample(r=r[()], t=t, omega=np.zeros_like(r)[()], tau=None,
-                           strategy_used="closed-sg", modes_used=0)
-    nu, alpha = params.nu, params.alpha
-    rn2 = eigenvalues.roots[: controls.n_modes] ** 2
-    kernels = -np.expm1(-nu * rn2 * t / (1.0 + alpha * rn2)) / (nu * rn2)
-    return _velocity_sample(geometry, eigenvalues, r, t, kernels, "closed-sg")
-
-
-def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r, t: float):
+def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r, t):
+    """The closed first term of the shear stress on the block r x t."""
     R1, R2 = geometry.R1, geometry.R2
     lead = 2.0 * R1**2 * R2**2 * (geometry.Omega2 - geometry.Omega1) / ((R2**2 - R1**2) * r**2)
     beta = params.beta
@@ -371,47 +366,62 @@ def _stress_first_term(params: FluidParams, geometry: AnnulusGeometry, r, t: flo
         bracket = params.mu * t + params.alpha1
     else:
         bracket = params.mu * t + params.alpha1 * t ** (1.0 - beta) / math.gamma(2.0 - beta)
-    return lead * bracket
+    return np.multiply.outer(lead, bracket)
 
 
-def _stress_sample(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-                   r: np.ndarray, t: float, kernels: np.ndarray, tag: str) -> FieldSample:
-    tau = (_stress_first_term(params, geometry, r, t)
-           + _mode_sum(geometry, eigenvalues, r, kernels, stress=True))
-    return FieldSample(r=r[()], t=t, omega=np.full_like(r, math.nan)[()], tau=tau,
-                       strategy_used=tag, modes_used=len(kernels))
+def field_block(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
+                r, t, controls: SeriesControls = _DEFAULT_CONTROLS,
+                stress: bool = False) -> FieldSample:
+    """Azimuthal velocity, or with stress=True the shear stress, on the block
+    r x t by the selected kernel strategy.
+
+    r and t are each a scalar or a 1-D array; the result has shape
+    r.shape + t.shape. The kernel matrix K[mode, t] is built once for the
+    block. At t = 0 the velocity is exactly 0; the stress is the elastic
+    jump at beta = 1 and is refused for beta < 1 (DomainError).
+    """
+    r, t = _radii(geometry, r), _times(t)
+    _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
+    kernels, tag = _mode_kernels(params, eigenvalues, t, controls, stress)
+    series = _mode_sum(geometry, eigenvalues, r, kernels, stress)
+    if stress:
+        tau = _stress_first_term(params, geometry, r, t) + series
+        return FieldSample(r=r[()], t=t[()], omega=np.full_like(tau, math.nan)[()], tau=tau[()],
+                           strategy_used=tag, modes_used=controls.n_modes)
+    omega = np.where(t == 0.0, 0.0, steady_part(geometry, r, t) - series)
+    return FieldSample(r=r[()], t=t[()], omega=omega[()], tau=None, strategy_used=tag,
+                       modes_used=controls.n_modes if t.any() else 0)
+
+
+def velocity(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
+             r, t, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
+    """Azimuthal velocity on the block r x t (see field_block)."""
+    return field_block(params, geometry, eigenvalues, r, t, controls)
 
 
 def shear_stress(params: FluidParams, geometry: AnnulusGeometry, eigenvalues: EigenvalueSet,
-                 r, t: float, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """Shear stress tau on a block of radii at one time t.
+                 r, t, controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
+    """Shear stress on the block r x t (see field_block); beta < 1 refuses t = 0."""
+    return field_block(params, geometry, eigenvalues, r, t, controls, stress=True)
 
-    r is a radius or a 1-D array of radii; the mode kernels are built once
-    for the whole block. Requires t > 0 for beta < 1; at beta = 1 the
-    t = 0 stress is finite and is returned through the closed exponential
-    route.
-    """
-    r = _radii(geometry, r, t)
-    _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
-    if t == 0.0:
-        if params.beta != 1.0:
-            raise DomainError("shear stress requires t > 0 for beta < 1")
-        return shear_stress_sg_closed(params, geometry, eigenvalues, r, t, controls)
-    kernels, tag = _mode_kernels(params, eigenvalues, t, controls, stress=True)
-    return _stress_sample(params, geometry, eigenvalues, r, t, kernels, tag)
+
+def velocity_sg_closed(params: FluidParams, geometry: AnnulusGeometry,
+                       eigenvalues: EigenvalueSet, r, t,
+                       controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
+    """beta = 1 velocity on the block r x t by the closed exponential kernel,
+    whatever controls.strategy says; with alpha1 = 0, the Newtonian one."""
+    if params.beta != 1.0:
+        raise ContractError("velocity_sg_closed requires beta == 1")
+    return field_block(params, geometry, eigenvalues, r, t,
+                       replace(controls, strategy=Strategy.AUTO))
 
 
 def shear_stress_sg_closed(params: FluidParams, geometry: AnnulusGeometry,
-                           eigenvalues: EigenvalueSet, r, t: float,
+                           eigenvalues: EigenvalueSet, r, t,
                            controls: SeriesControls = _DEFAULT_CONTROLS) -> FieldSample:
-    """beta = 1 shear stress on a block of radii at one time t, by the
-    closed exponential kernel."""
+    """beta = 1 shear stress on the block r x t by the closed exponential
+    kernel, whatever controls.strategy says."""
     if params.beta != 1.0:
         raise ContractError("shear_stress_sg_closed requires beta == 1")
-    r = _radii(geometry, r, t)
-    _check_eigenvalues(geometry, eigenvalues, controls.n_modes)
-    nu, alpha = params.nu, params.alpha
-    rn2 = eigenvalues.roots[: controls.n_modes] ** 2
-    z = nu * rn2 * t / (1.0 + alpha * rn2)
-    kernels = params.mu * (-np.expm1(-z)) / (nu * rn2) + params.alpha1 * np.exp(-z) / (1.0 + alpha * rn2)
-    return _stress_sample(params, geometry, eigenvalues, r, t, kernels, "closed-sg")
+    return field_block(params, geometry, eigenvalues, r, t,
+                       replace(controls, strategy=Strategy.AUTO), stress=True)

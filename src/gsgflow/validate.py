@@ -18,11 +18,11 @@ from . import fdsolver
 from .controls import SeriesControls, Strategy
 from .eigenvalues import find_roots
 from .errors import ModeEvaluationError, NonConvergenceError
-from .laplace import ModeTransform, invert_mode_velocity_kernel, invert_stehfest
+from .laplace import invert_stehfest
 from .solution import (
     AnnulusGeometry,
     FluidParams,
-    _mode_sum,
+    field_block,
     shear_stress,
     shear_stress_sg_closed,
     steady_part,
@@ -96,21 +96,17 @@ def operator_applied_stress(params: FluidParams, geometry: AnnulusGeometry, eige
     """tau oracle: (mu + alpha1 * D_t^beta)(d/dr - 1/r) applied numerically
     to velocity samples (central differences in r, L1 differentiation in t).
 
-    The velocity samples at r + dr, r - dr and r share one kernel matrix
-    K[mode, t] from the Talbot contour (about 1e-13 of max |K|), inverted
-    one mode at a time over the 1e4-sample time grid of the L1 scheme so
-    the complex temporaries stay at (time, node) size.
+    The velocity samples at r + dr, r - dr and r over the time grid of the
+    L1 scheme (up to 1e4 steps) are one field_block with n_modes
+    MODE_LAPLACE kernels: one Talbot contour call (about 1e-13 of max |K|)
+    builds K[mode, t], at the cost of (mode, time, node) complex
+    temporaries of about 50 MB at 5e3 steps.
     """
     n = int(round(t / dt))
     t_grid = np.arange(1, n + 1) * dt
-    kernels = np.array([
-        invert_mode_velocity_kernel(
-            ModeTransform(nu=params.nu, alpha=params.alpha, beta=params.beta, rn2=x * x), t_grid)
-        for x in eigenvalues.roots[:n_modes]
-    ])
-    radii = np.array([r + dr, r - dr, r])
-    w_plus, w_minus, w_mid = (np.outer(steady_part(geometry, radii, 1.0), t_grid)
-                              - _mode_sum(geometry, eigenvalues, radii, kernels))
+    controls = SeriesControls(n_modes=n_modes, strategy=Strategy.MODE_LAPLACE)
+    w_plus, w_minus, w_mid = field_block(params, geometry, eigenvalues,
+                                         np.array([r + dr, r - dr, r]), t_grid, controls).omega
     g = (w_plus - w_minus) / (2.0 * dr) - w_mid / r
     g_full = np.concatenate(([0.0], g))
     return params.mu * g[-1] + params.alpha1 * l1_fractional_derivative(g_full, dt, params.beta)
@@ -256,11 +252,9 @@ def run_full_checks(params: FluidParams, geometry: AnnulusGeometry,
     for beta in (0.5, 0.8, 1.0):
         p = FluidParams(mu=params.mu, alpha1=params.alpha1, rho=params.rho, beta=beta)
         fd = fdsolver.solve(p, geometry, grid)
-        worst = 0.0
-        for t in probes_t:
-            omega = velocity(p, geometry, eig, np.array(probes_r), t, laplace400).omega
-            for r, value in zip(probes_r, omega):
-                worst = max(worst, mixed_relative_error(value, fd.at(r, t), scale_coef * t))
+        omega = velocity(p, geometry, eig, probes_r, probes_t, laplace400).omega
+        worst = max(mixed_relative_error(omega[i, j], fd.at(r, t), scale_coef * t)
+                    for i, r in enumerate(probes_r) for j, t in enumerate(probes_t))
         checks.append(CheckResult.from_measurement(f"fd_velocity_beta{beta:g}", worst, 0.02))
 
     # Newtonian sub-case at the mid-gap reference point; the 0.5% bound is

@@ -18,13 +18,15 @@ def run(tmp_path, *argv):
 
 
 def count_kernel_builds(monkeypatch):
-    """Wrap solution._mode_kernels and return the list its calls append to."""
+    """Wrap solution._mode_kernels and return the list its calls append
+    (beta, times, stress, route tag) to."""
     calls = []
     original = solution._mode_kernels
 
     def counting(params, eigenvalues, t, controls, stress):
-        calls.append((params.beta, t, stress))
-        return original(params, eigenvalues, t, controls, stress)
+        kernels, tag = original(params, eigenvalues, t, controls, stress)
+        calls.append((params.beta, np.asarray(t).tolist(), stress, tag))
+        return kernels, tag
 
     monkeypatch.setattr(solution, "_mode_kernels", counting)
     return calls
@@ -121,7 +123,8 @@ class TestProfile:
         assert code == EXIT_OK
         assert len(parse_csv(text)[1]) == 9 * 3
         # the beta = 1 and Newtonian curves use the closed kernels
-        assert calls == [(0.5, 2.0, False)]
+        assert calls == [(0.5, 2.0, False, "laplace"), (1.0, 2.0, False, "closed-sg"),
+                         (1.0, 2.0, False, "closed-sg")]
 
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         for t in ("nan", "inf"):
@@ -163,12 +166,15 @@ class TestHistory:
         series = [float(r[3]) for r in rows if float(r[2]) == 0.5]
         assert all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
 
-    def test_kernels_built_once_per_time_and_curve(self, tmp_path, monkeypatch):
+    def test_kernels_built_once_per_curve(self, tmp_path, monkeypatch):
         calls = count_kernel_builds(monkeypatch)
         code, _ = run(tmp_path, "history", "--r-list", "1.3,2.5,3.8", "--t-max", "2",
                       "--t-steps", "2", "--betas", "0.5", "--modes", "10", "--no-timestamp")
         assert code == EXIT_OK
-        assert calls == [(0.5, 1.0, False), (0.5, 2.0, False)]
+        # one build per curve over the whole t column
+        assert calls == [(0.5, [1.0, 2.0], False, "laplace"),
+                         (1.0, [1.0, 2.0], False, "closed-sg"),
+                         (1.0, [1.0, 2.0], False, "closed-sg")]
 
     def test_non_finite_t_max_rejected(self, tmp_path, capsys):
         assert invalid_input(capsys, ["history", "--t-max", "nan", "--betas", "0.5",
@@ -197,13 +203,13 @@ class TestStress:
                          "--no-timestamp")
         assert code == EXIT_OK
 
-    def test_kernels_built_once_per_time_and_curve(self, tmp_path, monkeypatch):
+    def test_kernels_built_once_per_curve(self, tmp_path, monkeypatch):
         calls = count_kernel_builds(monkeypatch)
         code, _ = run(tmp_path, "stress", "--r-list", "1.3,2.5,3.8", "--t-max", "2",
                       "--t-steps", "2", "--betas", "0.5,0.7", "--modes", "10",
                       "--no-timestamp")
         assert code == EXIT_OK
-        assert calls == [(0.5, 1.0, True), (0.7, 1.0, True), (0.5, 2.0, True), (0.7, 2.0, True)]
+        assert calls == [(0.5, [1.0, 2.0], True, "laplace"), (0.7, [1.0, 2.0], True, "laplace")]
 
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         out = ["--betas", "0.5", "--out", str(tmp_path / "x.csv")]
@@ -295,6 +301,19 @@ class TestDeterminismAndConfig:
             cfg.write_text(line + "\n")
             assert invalid_input(capsys, ["validate", "--level", "full", "--config", str(cfg),
                                           "--out", str(tmp_path / "r.json")], name)
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert invalid_input(capsys, ["profile", "--config", missing,
+                                      "--out", str(tmp_path / "x.csv")], missing)
+
+    def test_config_path_that_is_a_directory_rejected(self, tmp_path, capsys):
+        assert invalid_input(capsys, ["roots", "--config", str(tmp_path),
+                                      "--out", str(tmp_path / "x.csv")], str(tmp_path))
+
+    def test_unwritable_output_path_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "no_such_dir" / "x.csv")
+        assert invalid_input(capsys, ["roots", "--n-max", "2", "--out", out], out)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"

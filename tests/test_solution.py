@@ -25,7 +25,7 @@ from gsgflow import (
     velocity,
     velocity_sg_closed,
 )
-from gsgflow.solution import _mode_kernels, _stress_first_term, mode_coefficients
+from gsgflow.solution import _mode_kernels, _stress_first_term, field_block, mode_coefficients
 from gsgflow.special import cross_b, cross_b1
 from gsgflow.validate import mixed_relative_error
 
@@ -35,6 +35,18 @@ EIG = find_roots(1.0, 4.0, 60)
 
 def params(beta, alpha1=11.34):
     return FluidParams(mu=1.48, alpha1=alpha1, rho=1260.0, beta=beta)
+
+
+class TestSeriesControls:
+    def test_integral_counts_accepted(self):
+        c = SeriesControls(n_modes=np.int64(12), max_terms=np.int32(500))
+        assert (c.n_modes, c.max_terms) == (12, 500)
+
+    def test_non_integral_counts_rejected(self):
+        for name in ("n_modes", "max_terms"):
+            for value in (True, False, 2.5, 10.0, math.nan, math.inf, "10", None):
+                with pytest.raises(ValueError, match=name):
+                    SeriesControls(**{name: value})
 
 
 class TestParamsAndGeometry:
@@ -130,19 +142,40 @@ class TestVelocity:
         ]
         assert max(vals) - min(vals) < 1e-6 * abs(vals[0])
 
-    def test_auto_is_laplace_at_every_beta(self):
+    def test_auto_is_laplace_below_beta_one(self):
         # one contour route: no per-mode series attempt, no fallback tag
         auto = SeriesControls(n_modes=50)
         lap = SeriesControls(n_modes=50, strategy=Strategy.MODE_LAPLACE)
-        for beta in (0.3, 0.6, 0.9, 0.95, 1.0):
+        for beta in (0.3, 0.6, 0.9, 0.95):
             p = params(beta)
-            for t in (0.5, 10.0):
+            for t in (0.5, 10.0, np.array([0.5, 10.0])):
                 for stress in (False, True):
                     k_auto, tag_auto = _mode_kernels(p, EIG, t, auto, stress=stress)
                     k_lap, tag_lap = _mode_kernels(p, EIG, t, lap, stress=stress)
                     assert np.array_equal(k_auto, k_lap)
                     assert tag_auto == tag_lap == "laplace"
             assert velocity(p, GEOM, EIG, 2.5, 10.0, auto).strategy_used == "laplace"
+
+    def test_auto_is_closed_kernel_at_beta_one(self):
+        # the exact exponential kernel, written out here independently
+        auto = SeriesControls(n_modes=50)
+        for alpha1 in (11.34, 0.0):
+            p = params(1.0, alpha1)
+            rn2 = EIG.roots[:50] ** 2
+            for t in (0.0, 0.5, 10.0):
+                decay = np.array([math.exp(-p.nu * x2 * t / (1.0 + p.alpha * x2)) for x2 in rn2])
+                want = {False: (1.0 - decay) / (p.nu * rn2),
+                        True: p.mu * (1.0 - decay) / (p.nu * rn2)
+                        + p.alpha1 * decay / (1.0 + p.alpha * rn2)}
+                for stress in (False, True):
+                    kernels, tag = _mode_kernels(p, EIG, t, auto, stress=stress)
+                    assert tag == "closed-sg"
+                    assert np.allclose(kernels, want[stress], rtol=1e-12, atol=0.0)
+            assert velocity(p, GEOM, EIG, 2.5, 10.0, auto).strategy_used == "closed-sg"
+            fs = velocity_sg_closed(p, GEOM, EIG, 2.5, 10.0,
+                                    SeriesControls(n_modes=50, strategy=Strategy.G_SERIES))
+            assert fs.strategy_used == "closed-sg"
+            assert fs.omega == velocity(p, GEOM, EIG, 2.5, 10.0, auto).omega
 
     def test_explicit_gseries_refuses_near_beta_one(self):
         with pytest.raises(ModeEvaluationError) as exc_info:
@@ -364,3 +397,72 @@ class TestBlockEvaluation:
                 for fn, p in cases:
                     with pytest.raises(DomainError, match="outside annulus"):
                         fn(p, GEOM, EIG, radii, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the r x t block entry point
+
+BLOCK_RADII = np.array([1.3, 2.5, 3.8])
+BLOCK_TIMES = np.linspace(0.5, 5.5, 11)
+BLOCK_CASES = [(0.3, Strategy.AUTO, 50), (0.9, Strategy.AUTO, 50), (1.0, Strategy.AUTO, 50),
+               (0.5, Strategy.DOUBLE_SERIES, 10)]
+
+
+def block_floor(p, stress, t):
+    return stress_floor(p, t) if stress else OMEGA_FLOOR * t
+
+
+class TestFieldBlock:
+    @pytest.mark.parametrize("stress", [False, True])
+    @pytest.mark.parametrize("beta, strategy, n_modes", BLOCK_CASES)
+    def test_block_equals_per_time_calls(self, beta, strategy, n_modes, stress):
+        p = params(beta)
+        c = SeriesControls(n_modes=n_modes, strategy=strategy)
+        block = field_block(p, GEOM, EIG, BLOCK_RADII, BLOCK_TIMES, c, stress=stress)
+        values = block.tau if stress else block.omega
+        assert values.shape == (3, 11) and block.t.shape == (11,)
+        for j, t in enumerate(BLOCK_TIMES):
+            one = field_block(p, GEOM, EIG, BLOCK_RADII, t, c, stress=stress)
+            column = field_block(p, GEOM, EIG, BLOCK_RADII, np.array([t]), c, stress=stress)
+            got = one.tau if stress else one.omega
+            # a one-element t is the one-time call, bit for bit
+            assert np.array_equal((column.tau if stress else column.omega)[:, 0], got)
+            assert column.strategy_used == one.strategy_used == block.strategy_used
+            for i in range(3):
+                err = mixed_relative_error(values[i, j], got[i], block_floor(p, stress, t))
+                assert err <= 1e-13
+
+    def test_shapes(self):
+        p = params(0.5)
+        assert field_block(p, GEOM, EIG, 2.5, BLOCK_TIMES).omega.shape == (11,)
+        assert field_block(p, GEOM, EIG, BLOCK_RADII, 2.0).omega.shape == (3,)
+        assert np.ndim(field_block(p, GEOM, EIG, 2.5, 2.0, stress=True).tau) == 0
+
+    @pytest.mark.parametrize("strategy", [Strategy.AUTO, Strategy.MODE_LAPLACE])
+    def test_zero_time_column(self, strategy):
+        times = np.array([0.0, 1.0, 2.0])
+        c = SeriesControls(n_modes=50, strategy=strategy)
+        # counter-rotation makes the steady part negative near R1: still +0.0
+        counter = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=-3.0, Omega2=1.5)
+        for beta in (0.5, 1.0):
+            for geometry in (GEOM, counter):
+                fs = field_block(params(beta), geometry, EIG, RADII, times, c)
+                assert np.all(fs.omega[:, 0] == 0.0) and not np.signbit(fs.omega[:, 0]).any()
+                assert np.all(fs.omega[:, 1:] != 0.0)
+        # beta = 1 stress at t = 0 is the elastic jump of the closed kernel
+        p = params(1.0)
+        tau = field_block(p, GEOM, EIG, RADII, times, c, stress=True).tau
+        rn2 = EIG.roots[:50] ** 2
+        k_jump = p.alpha1 / (1.0 + p.alpha * rn2)
+        for i, r in enumerate(RADII):
+            want = point_stress(p, float(r), 0.0, k_jump)
+            assert mixed_relative_error(tau[i, 0], want, stress_floor(p, 1.0)) <= BLOCK_TOL
+        with pytest.raises(DomainError, match="t > 0"):
+            field_block(params(0.5), GEOM, EIG, RADII, times, c, stress=True)
+
+    def test_bad_times_named(self):
+        for bad, text in ((math.nan, "t=nan"), (math.inf, "t=inf"), (-1.0, "t=-1.0")):
+            times = np.array([0.5, bad, 2.0])
+            for stress in (False, True):
+                with pytest.raises(DomainError, match=text):
+                    field_block(params(0.5), GEOM, EIG, RADII, times, stress=stress)
