@@ -1,6 +1,17 @@
 """Command-line front door: figure-data reproduction, root tables,
 validation reports, CSV/JSON persistence.
 
+Subcommands:
+  roots     eigenvalue table r_n with residuals
+  profile   velocity omega(r) at one t: the requested orders, beta = 1 and
+            the Newtonian curve
+  history   velocity omega(t) at fixed radii, the same curves
+  stress    shear stress tau(r) at one t, or tau(t) at fixed radii with --t-max
+  validate  cross-oracle check suite as a JSON report
+  fig1      preset of profile: --t 5 --betas 0.3,0.6,0.9 --r-steps 61
+  fig2      preset of history: --r-list 1.3,2.5,3.8 --t-max 10 --t-steps 50
+            --betas 0.3,0.6,0.9 --include-t0
+
 Exit codes: 0 success, 1 validation check failure, 2 numerical
 non-convergence, 3 invalid input.
 
@@ -15,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -173,36 +184,76 @@ def _write_table(path: Optional[str], fmt: str, columns: list, rows: list,
             out.close()
 
 
+def _float_list(arg: str, name: str) -> list:
+    try:
+        values = [float(x) for x in arg.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} list {arg!r}") from exc
+    if not values:
+        raise ConfigError(f"{name} list {arg!r} holds no values")
+    return values
+
+
 def _beta_list(arg: Optional[str]) -> list:
     if not arg:
         return [0.3, 0.6, 0.9]
-    try:
-        betas = [float(x) for x in arg.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad beta list {arg!r}") from exc
+    betas = _float_list(arg, "beta")
     for b in betas:
         if not 0.0 < b <= 1.0:
             raise ConfigError(f"beta {b!r} outside (0, 1]")
     return betas
 
 
-def _float_list(arg: str, name: str) -> list:
-    try:
-        return [float(x) for x in arg.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad {name} list {arg!r}") from exc
+def _radii(config: RunConfig, r_steps: int) -> np.ndarray:
+    if r_steps < 2:
+        raise ConfigError("r-steps must be >= 2")
+    return np.linspace(config.geometry.R1, config.geometry.R2, r_steps)
+
+
+def _times(args, include_t0: bool = False) -> np.ndarray:
+    """The t column t_max/t_steps, ..., t_max, from 0 with include_t0."""
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
+    if args.t_steps < 1:
+        raise ConfigError("t-steps must be >= 1")
+    t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)
+    return t_values if include_t0 else t_values[1:]
+
+
+def _orders(config: RunConfig, betas: list) -> list:
+    """(beta, params) pairs for the requested fractional orders."""
+    return [(b, replace(config.params, beta=b)) for b in betas]
 
 
 def _curve_family(config: RunConfig, betas: list) -> list:
     """(beta_tag, params) pairs: requested betas, second grade, Newtonian."""
-    fam = []
-    base = config.params
-    for b in betas:
-        fam.append((b, FluidParams(mu=base.mu, alpha1=base.alpha1, rho=base.rho, beta=b)))
+    fam = _orders(config, betas)
     if 1.0 not in betas:
-        fam.append((1.0, FluidParams(mu=base.mu, alpha1=base.alpha1, rho=base.rho, beta=1.0)))
-    fam.append((NEWTONIAN_TAG, FluidParams(mu=base.mu, alpha1=0.0, rho=base.rho, beta=1.0)))
+        fam.append((1.0, replace(config.params, beta=1.0)))
+    fam.append((NEWTONIAN_TAG, replace(config.params, alpha1=0.0, beta=1.0)))
     return fam
+
+
+def _sweep(config: RunConfig, args, columns: list, family: list, r, t,
+           stress: bool = False) -> int:
+    """Write one field_block per curve of family on the block r x t.
+
+    Rows run over time, then radius, then curve; each row holds the named
+    coordinates t, r, beta and the field value in the order of columns,
+    whose last entry names the value.
+    """
+    eig = config.eigenvalues()
+    blocks = [field_block(params, config.geometry, eig, r, t, config.controls, stress=stress)
+              for _, params in family]
+    fields = [np.reshape(b.tau if stress else b.omega, (len(r), -1)) for b in blocks]
+    rows = []
+    for j, t_j in enumerate(np.atleast_1d(t)):
+        for i, r_i in enumerate(r):
+            for (tag, _), field in zip(family, fields):
+                named = {"t": t_j, "r": r_i, "beta": tag, columns[-1]: field[i, j]}
+                rows.append(tuple(named[c] for c in columns))
+    _write_table(args.out, args.format, columns, rows, config.timestamp)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -221,63 +272,26 @@ def cmd_roots(config: RunConfig, args) -> int:
 
 
 def cmd_profile(config: RunConfig, args) -> int:
-    betas = _beta_list(args.betas)
-    if args.r_steps < 2:
-        raise ConfigError("r-steps must be >= 2")
-    r_values = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
-    family = _curve_family(config, betas)
-    eig = config.eigenvalues()
-    curves = [field_block(params, config.geometry, eig, r_values, args.t, config.controls).omega
-              for _, params in family]
-    rows = [(r, tag, omega[i]) for i, r in enumerate(r_values)
-            for (tag, _), omega in zip(family, curves)]
-    _write_table(args.out, args.format, ["r", "beta", "omega"], rows, config.timestamp)
-    return EXIT_OK
+    family = _curve_family(config, _beta_list(args.betas))
+    return _sweep(config, args, ["r", "beta", "omega"], family,
+                  _radii(config, args.r_steps), args.t)
 
 
 def cmd_history(config: RunConfig, args) -> int:
     r_list = _float_list(args.r_list, "r")
-    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
-        raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
-    if args.t_steps < 1:
-        raise ConfigError("t-steps must be >= 1")
-    betas = _beta_list(args.betas)
-    t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)
-    if not args.include_t0:
-        t_values = t_values[1:]
-    family = _curve_family(config, betas)
-    eig = config.eigenvalues()
-    curves = [field_block(params, config.geometry, eig, r_list, t_values, config.controls).omega
-              for _, params in family]
-    rows = [(t, r, tag, omega[i, j]) for j, t in enumerate(t_values) for i, r in enumerate(r_list)
-            for (tag, _), omega in zip(family, curves)]
-    _write_table(args.out, args.format, ["t", "r", "beta", "omega"], rows, config.timestamp)
-    return EXIT_OK
+    t_values = _times(args, args.include_t0)
+    family = _curve_family(config, _beta_list(args.betas))
+    return _sweep(config, args, ["t", "r", "beta", "omega"], family, r_list, t_values)
 
 
 def cmd_stress(config: RunConfig, args) -> int:
-    betas = _beta_list(args.betas)
-    eig = config.eigenvalues()
-    if args.t_max is not None:
-        if not (math.isfinite(args.t_max) and args.t_max > 0.0):
-            raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
-        radii = np.array(_float_list(args.r_list, "r"))
-        if args.t_steps < 1:
-            raise ConfigError("t-steps must be >= 1")
-        t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)[1:]
+    family = _orders(config, _beta_list(args.betas))
+    if args.t_max is None:
+        radii, t_values = _radii(config, args.r_steps), args.t
     else:
-        if args.r_steps < 2:
-            raise ConfigError("r-steps must be >= 2")
-        radii = np.linspace(config.geometry.R1, config.geometry.R2, args.r_steps)
-        t_values = np.array([args.t])
-    family = [FluidParams(mu=config.params.mu, alpha1=config.params.alpha1,
-                          rho=config.params.rho, beta=beta) for beta in betas]
-    curves = [field_block(params, config.geometry, eig, radii, t_values, config.controls,
-                          stress=True).tau for params in family]
-    rows = [(r, t, beta, tau[i, j]) for j, t in enumerate(t_values) for i, r in enumerate(radii)
-            for beta, tau in zip(betas, curves)]
-    _write_table(args.out, args.format, ["r", "t", "beta", "tau"], rows, config.timestamp)
-    return EXIT_OK
+        radii, t_values = _float_list(args.r_list, "r"), _times(args)
+    return _sweep(config, args, ["r", "t", "beta", "tau"], family, radii, t_values,
+                  stress=True)
 
 
 def cmd_validate(config: RunConfig, args) -> int:
@@ -295,22 +309,6 @@ def cmd_validate(config: RunConfig, args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_fig1(config: RunConfig, args) -> int:
-    args.t = 5.0
-    args.betas = "0.3,0.6,0.9"
-    args.r_steps = 61
-    return cmd_profile(config, args)
-
-
-def cmd_fig2(config: RunConfig, args) -> int:
-    args.r_list = "1.3,2.5,3.8"
-    args.t_max = 10.0
-    args.betas = "0.3,0.6,0.9"
-    args.t_steps = 50
-    args.include_t0 = True
-    return cmd_history(config, args)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -323,44 +321,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID_INPUT)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--modes", type=int, help="override the number of series modes")
-    parser.add_argument("--tol", type=float,
+_FIG1 = "preset of profile: --t 5 --betas 0.3,0.6,0.9 --r-steps 61"
+_FIG2 = ("preset of history: --r-list 1.3,2.5,3.8 --t-max 10 --t-steps 50 "
+         "--betas 0.3,0.6,0.9 --include-t0")
+
+
+def make_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a key = value config file")
+    common.add_argument("--out", help="output file (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--modes", type=int, help="override the number of series modes")
+    common.add_argument("--tol", type=float,
                         help="override the stopping tolerance of the series strategies")
-    parser.add_argument("--strategy", choices=sorted(_STRATEGIES),
+    common.add_argument("--strategy", choices=sorted(_STRATEGIES),
                         help="kernel evaluation strategy for every curve, the beta = 1 and "
                              "Newtonian ones included: laplace inverts on a Talbot contour, "
                              "series and gseries sum the paper's series, auto takes the "
                              "exact exponential kernel at beta = 1 and the contour otherwise")
-    parser.add_argument("--approx-roots", action="store_true",
+    common.add_argument("--approx-roots", action="store_true",
                         help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
-    parser.add_argument("--no-timestamp", action="store_true",
+    common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generation timestamp for byte-identical reruns")
 
-
-def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gsgflow",
                      description="Start-up rotational flow of a generalized second "
                                  "grade fluid between coaxial cylinders")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[], help="tabulate eigenvalues")
-    _add_common(p)
+    p = sub.add_parser("roots", parents=[common], help="tabulate eigenvalues")
     p.add_argument("--n-max", type=int, default=50)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("profile", help="velocity profile omega(r) at fixed t")
-    _add_common(p)
+    p = sub.add_parser("profile", parents=[common], help="velocity profile omega(r) at fixed t")
     p.add_argument("--t", type=float, default=5.0)
     p.add_argument("--betas", help="comma list of fractional orders (default 0.3,0.6,0.9)")
     p.add_argument("--r-steps", type=int, default=41)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("history", help="velocity history omega(t) at fixed radii")
-    _add_common(p)
+    p = sub.add_parser("history", parents=[common],
+                       help="velocity history omega(t) at fixed radii")
     p.add_argument("--r-list", default="1.3,2.5,3.8")
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-steps", type=int, default=50)
@@ -369,8 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="start the t column at 0 instead of t_max/t_steps")
     p.set_defaults(func=cmd_history)
 
-    p = sub.add_parser("stress", help="shear stress sweep")
-    _add_common(p)
+    p = sub.add_parser("stress", parents=[common], help="shear stress sweep")
     p.add_argument("--t", type=float, default=5.0, help="fixed time for an r sweep")
     p.add_argument("--r-steps", type=int, default=41)
     p.add_argument("--t-max", type=float, help="sweep t instead, at --r-list radii")
@@ -379,18 +378,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", help="comma list of fractional orders")
     p.set_defaults(func=cmd_stress)
 
-    p = sub.add_parser("validate", help="run the cross-oracle check suite")
-    _add_common(p)
+    p = sub.add_parser("validate", parents=[common], help="run the cross-oracle check suite")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("fig1", help="velocity profiles preset (all five curves)")
-    _add_common(p)
-    p.set_defaults(func=cmd_fig1)
+    p = sub.add_parser("fig1", parents=[common], help=_FIG1, description=_FIG1)
+    p.set_defaults(func=cmd_profile, t=5.0, betas="0.3,0.6,0.9", r_steps=61)
 
-    p = sub.add_parser("fig2", help="velocity histories preset at r = 1.3, 2.5, 3.8")
-    _add_common(p)
-    p.set_defaults(func=cmd_fig2)
+    p = sub.add_parser("fig2", parents=[common], help=_FIG2, description=_FIG2)
+    p.set_defaults(func=cmd_history, r_list="1.3,2.5,3.8", t_max=10.0, betas="0.3,0.6,0.9",
+                   t_steps=50, include_t0=True)
     return parser
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import j0, j1, y0, y1
@@ -35,9 +36,13 @@ class EigenvalueSet:
         return self.R1 == R1 and self.R2 == R2
 
 
-def _check_geometry(R1: float, R2: float) -> None:
-    if not (0.0 < R1 < R2):
-        raise GeometryError(f"need 0 < R1 < R2, got R1={R1!r}, R2={R2!r}")
+def _check_request(R1: float, R2: float, n_max: int) -> None:
+    if not 0.0 < R1 < R2 < math.inf:
+        raise GeometryError(f"need finite 0 < R1 < R2, got R1={R1!r}, R2={R2!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
 
 
 def _f(r: float, R1: float, R2: float) -> float:
@@ -101,9 +106,7 @@ def find_roots(R1: float, R2: float, n_max: int) -> EigenvalueSet:
     asymptotic slot n*pi/(R2-R1) so a missed or doubled root is caught
     immediately rather than corrupting every downstream series.
     """
-    _check_geometry(R1, R2)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_request(R1, R2, n_max)
     spacing = math.pi / (R2 - R1)
     step = spacing / 40.0
     roots = []
@@ -145,9 +148,7 @@ def approx_roots(R1: float, R2: float, n_max: int) -> EigenvalueSet:
     Residuals hold the actual |B1(R1*r_n)| at the approximate roots, which
     is generally far from zero for the first few n.
     """
-    _check_geometry(R1, R2)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_request(R1, R2, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     roots = n * math.pi / (R2 - R1)
     residuals = np.abs([_f(r, R1, R2) for r in roots])

@@ -16,6 +16,7 @@ grade equation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,9 @@ def gl_weights(beta: float, M: int) -> GLWeights:
         raise DomainError("beta must lie in (0, 1]")
     if M < 0:
         raise DomainError("M must be >= 0")
-    w = np.empty(M + 1)
-    w[0] = 1.0
-    for k in range(1, M + 1):
-        w[k] = w[k - 1] * (1.0 - (beta + 1.0) / k)
-    return GLWeights(beta=beta, weights=w)
+    # operator.index refuses a non-integer M
+    factors = 1.0 - (beta + 1.0) / np.arange(1, operator.index(M) + 1)
+    return GLWeights(beta=beta, weights=np.cumprod(np.concatenate(([1.0], factors))))
 
 
 @dataclass(frozen=True)

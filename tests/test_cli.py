@@ -348,3 +348,40 @@ class TestFigurePresets:
         rs = sorted({float(r[1]) for r in rows})
         assert rs == [1.3, 2.5, 3.8]
         assert min(float(r[0]) for r in rows) == 0.0
+
+    @pytest.mark.parametrize("preset, argv", [
+        ("fig1", ["profile", "--t", "5", "--betas", "0.3,0.6,0.9", "--r-steps", "61"]),
+        ("fig2", ["history", "--r-list", "1.3,2.5,3.8", "--t-max", "10", "--t-steps", "50",
+                  "--betas", "0.3,0.6,0.9", "--include-t0"]),
+    ])
+    def test_preset_equals_its_command_line(self, tmp_path, preset, argv):
+        a, b = tmp_path / "preset.csv", tmp_path / "spelled.csv"
+        assert main([preset, "--no-timestamp", "--out", str(a)]) == EXIT_OK
+        assert main([*argv, "--no-timestamp", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["profile", "--r-steps", "1"], "r-steps"),
+    (["stress", "--r-steps", "1"], "r-steps"),
+    (["history", "--t-steps", "0"], "t-steps"),
+    (["stress", "--t-max", "5", "--t-steps", "0"], "t-steps"),
+    (["history", "--t-max", "inf"], "t-max"),
+    (["stress", "--t-max", "inf"], "t-max"),
+])
+def test_grid_checks_refuse_for_every_command(tmp_path, capsys, argv, name):
+    out = tmp_path / "x.csv"
+    assert invalid_input(capsys, [*argv, "--betas", "0.5", "--out", str(out)], name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["history", "--r-list", ","], "r list"),
+    (["stress", "--t-max", "2", "--r-list", ","], "r list"),
+    (["stress", "--betas", ",", "--t", "2"], "beta list"),
+    (["profile", "--betas", ","], "beta list"),
+])
+def test_empty_list_refused(tmp_path, capsys, argv, name):
+    out = tmp_path / "x.csv"
+    assert invalid_input(capsys, [*argv, "--out", str(out)], name)
+    assert not out.exists()

@@ -101,3 +101,22 @@ class TestApproxRoots:
         eig = approx_roots(1.0, 4.0, 5)
         # the asymptotic guesses are not actual roots for low n
         assert eig.residuals[0] > 1e-4
+
+
+@pytest.mark.parametrize("solve", [find_roots, approx_roots])
+class TestRequestChecks:
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3"])
+    def test_non_integer_count_refused(self, solve, n_max):
+        with pytest.raises(ValueError, match="integer"):
+            solve(1.0, 4.0, n_max)
+
+    def test_numpy_integer_count_accepted(self, solve):
+        a, b = solve(1.0, 4.0, np.int64(5)), solve(1.0, 4.0, 5)
+        assert np.array_equal(a.roots, b.roots)
+        assert np.array_equal(a.residuals, b.residuals)
+
+    @pytest.mark.parametrize("R1, R2", [(1.0, math.inf), (1.0, math.nan), (math.nan, 4.0),
+                                        (math.inf, math.inf), (-math.inf, 4.0)])
+    def test_non_finite_radii_refused(self, solve, R1, R2):
+        with pytest.raises(GeometryError):
+            solve(R1, R2, 5)
