@@ -14,14 +14,7 @@ from .errors import (
     RootScanError,
 )
 from .fdsolver import FieldGrid, GLWeights, GridSpec, gl_weights, solve
-from .laplace import (
-    ModeTransform,
-    eval_transform,
-    invert_mode_stress_kernel,
-    invert_mode_velocity_kernel,
-    invert_stehfest,
-    stehfest_weights,
-)
+from .laplace import ModeTransform, invert_mode_stress_kernel, invert_mode_velocity_kernel
 from .solution import (
     AnnulusGeometry,
     FieldSample,
@@ -70,19 +63,16 @@ __all__ = [
     "bessel",
     "cross_b",
     "cross_b1",
-    "eval_transform",
     "find_roots",
     "g_function",
     "gl_weights",
     "invert_mode_stress_kernel",
     "invert_mode_velocity_kernel",
-    "invert_stehfest",
     "mode_coefficients",
     "shear_stress",
     "shear_stress_sg_closed",
     "solve",
     "steady_part",
-    "stehfest_weights",
     "velocity",
     "velocity_sg_closed",
 ]

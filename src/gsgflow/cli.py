@@ -12,6 +12,19 @@ Subcommands:
   fig2      preset of history: --r-list 1.3,2.5,3.8 --t-max 10 --t-steps 50
             --betas 0.3,0.6,0.9 --include-t0
 
+Options, by subcommand:
+  every subcommand      --config, --out, --no-timestamp
+  all but validate      --format csv|json (validate always writes JSON)
+  profile, history, stress, fig1, fig2
+                        --modes, --tol, --strategy
+  roots                 --n-max, --approx-roots
+  profile               --t, --betas, --r-steps
+  history               --r-list, --t-max, --t-steps, --betas, --include-t0
+  stress                --t, --r-steps, --t-max, --t-steps, --r-list, --betas
+  validate              --level fast|full
+An option the subcommand does not take, or an abbreviated one, is invalid
+input.
+
 Exit codes: 0 success, 1 validation check failure, 2 numerical
 non-convergence, 3 invalid input.
 
@@ -91,15 +104,10 @@ class RunConfig:
     geometry: AnnulusGeometry
     controls: SeriesControls
     grid: fdsolver.GridSpec
-    approx_roots: bool = False
     timestamp: bool = True
 
-    def eigenvalues(self, n: Optional[int] = None) -> EigenvalueSet:
-        if n is None:
-            n = self.controls.n_modes
-        if self.approx_roots:
-            return approx_roots(self.geometry.R1, self.geometry.R2, n)
-        return find_roots(self.geometry.R1, self.geometry.R2, n)
+    def eigenvalues(self) -> EigenvalueSet:
+        return find_roots(self.geometry.R1, self.geometry.R2, self.controls.n_modes)
 
 
 def parse_config_file(path: str) -> dict:
@@ -121,9 +129,14 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(args) -> RunConfig:
+    """RunConfig from the defaults, the --config file and the flags; only the
+    field commands take --modes, --tol and --strategy, the others read them
+    from the file or the defaults."""
     raw = dict(DEFAULTS)
     if args.config:
         raw.update(parse_config_file(args.config))
+    modes = getattr(args, "modes", None)
+    tol = getattr(args, "tol", None)
 
     def num(key, cast=float):
         try:
@@ -131,9 +144,7 @@ def build_config(args) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
 
-    strategy_name = str(raw["strategy"]).lower()
-    if args.strategy:
-        strategy_name = args.strategy
+    strategy_name = getattr(args, "strategy", None) or str(raw["strategy"]).lower()
     if strategy_name not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy_name!r}")
 
@@ -143,8 +154,8 @@ def build_config(args) -> RunConfig:
         geometry = AnnulusGeometry(R1=num("r1"), R2=num("r2"),
                                    Omega1=num("omega1"), Omega2=num("omega2"))
         controls = SeriesControls(
-            n_modes=num("n_modes", int) if args.modes is None else args.modes,
-            tol_rel=num("tol_rel") if args.tol is None else args.tol,
+            n_modes=num("n_modes", int) if modes is None else modes,
+            tol_rel=num("tol_rel") if tol is None else tol,
             max_terms=num("max_terms", int),
             strategy=_STRATEGIES[strategy_name],
         )
@@ -152,7 +163,7 @@ def build_config(args) -> RunConfig:
     except (ValueError, GeometryError) as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(params=params, geometry=geometry, controls=controls, grid=grid,
-                     approx_roots=args.approx_roots, timestamp=not args.no_timestamp)
+                     timestamp=not args.no_timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +272,11 @@ def _sweep(config: RunConfig, args, columns: list, family: list, r, t,
 
 
 def cmd_roots(config: RunConfig, args) -> int:
-    n_max = args.n_max
-    eig = config.eigenvalues(n_max)
+    solve = approx_roots if args.approx_roots else find_roots
+    eig = solve(config.geometry.R1, config.geometry.R2, args.n_max)
     rows = []
     for i, root in enumerate(eig.roots, start=1):
-        residual = None if config.approx_roots else eig.residuals[i - 1]
+        residual = None if args.approx_roots else eig.residuals[i - 1]
         rows.append((i, root, residual))
     _write_table(args.out, args.format, ["n", "r_n", "residual"], rows, config.timestamp)
     return EXIT_OK
@@ -314,10 +325,16 @@ def cmd_validate(config: RunConfig, args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix matching: it would read fig1's "--t" as "--tol". The
+    # subparsers are made by this class and inherit the setting.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 by default, which this CLI reserves for
     # numerical non-convergence; bad usage is invalid input instead.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"gsgflow: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_INPUT)
 
 
@@ -330,36 +347,39 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--modes", type=int, help="override the number of series modes")
-    common.add_argument("--tol", type=float,
+    common.add_argument("--no-timestamp", action="store_true",
+                        help="omit the generation timestamp for byte-identical reruns")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--modes", type=int, help="override the number of series modes")
+    series.add_argument("--tol", type=float,
                         help="override the stopping tolerance of the series strategies")
-    common.add_argument("--strategy", choices=sorted(_STRATEGIES),
+    series.add_argument("--strategy", choices=sorted(_STRATEGIES),
                         help="kernel evaluation strategy for every curve, the beta = 1 and "
                              "Newtonian ones included: laplace inverts on a Talbot contour, "
                              "series and gseries sum the paper's series, auto takes the "
                              "exact exponential kernel at beta = 1 and the contour otherwise")
-    common.add_argument("--approx-roots", action="store_true",
-                        help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the generation timestamp for byte-identical reruns")
+    field = [common, table, series]
 
     parser = _Parser(prog="gsgflow",
                      description="Start-up rotational flow of a generalized second "
                                  "grade fluid between coaxial cylinders")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[common], help="tabulate eigenvalues")
+    p = sub.add_parser("roots", parents=[common, table], help="tabulate eigenvalues")
     p.add_argument("--n-max", type=int, default=50)
+    p.add_argument("--approx-roots", action="store_true",
+                   help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("profile", parents=[common], help="velocity profile omega(r) at fixed t")
+    p = sub.add_parser("profile", parents=field, help="velocity profile omega(r) at fixed t")
     p.add_argument("--t", type=float, default=5.0)
     p.add_argument("--betas", help="comma list of fractional orders (default 0.3,0.6,0.9)")
     p.add_argument("--r-steps", type=int, default=41)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("history", parents=[common],
+    p = sub.add_parser("history", parents=field,
                        help="velocity history omega(t) at fixed radii")
     p.add_argument("--r-list", default="1.3,2.5,3.8")
     p.add_argument("--t-max", type=float, default=10.0)
@@ -369,7 +389,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="start the t column at 0 instead of t_max/t_steps")
     p.set_defaults(func=cmd_history)
 
-    p = sub.add_parser("stress", parents=[common], help="shear stress sweep")
+    p = sub.add_parser("stress", parents=field, help="shear stress sweep")
     p.add_argument("--t", type=float, default=5.0, help="fixed time for an r sweep")
     p.add_argument("--r-steps", type=int, default=41)
     p.add_argument("--t-max", type=float, help="sweep t instead, at --r-list radii")
@@ -382,10 +402,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("fig1", parents=[common], help=_FIG1, description=_FIG1)
+    p = sub.add_parser("fig1", parents=field, help=_FIG1, description=_FIG1)
     p.set_defaults(func=cmd_profile, t=5.0, betas="0.3,0.6,0.9", r_steps=61)
 
-    p = sub.add_parser("fig2", parents=[common], help=_FIG2, description=_FIG2)
+    p = sub.add_parser("fig2", parents=field, help=_FIG2, description=_FIG2)
     p.set_defaults(func=cmd_history, r_list="1.3,2.5,3.8", t_max=10.0, betas="0.3,0.6,0.9",
                    t_steps=50, include_t0=True)
     return parser

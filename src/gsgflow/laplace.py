@@ -7,76 +7,25 @@ Weideman's optimized Talbot contour (SIAM J. Numer. Anal. 44, 2006)
 
     q(theta) = (N/t) (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta),
 
-on which the trapezoidal rule converges geometrically. With N = 32 nodes in
-float64 every kernel here is within about 1e-13 of max |K| (against 48
-nodes and against mpmath's Talbot at 30 digits). The node weights do not
-depend on t, nor q^beta on the mode, so one call inverts an array of modes.
-
-Gaver-Stehfest (real-axis samples at mpmath precision, degree n_terms + 8
-with exact rational weights to clear the classic sum's ~4e-8 intrinsic
-error) is kept only as the scalar oracle of validate's stehfest_* checks.
+on which the trapezoidal rule converges geometrically. `invert` is the one
+inverter: with N = 32 nodes in float64 every kernel here is within about
+1e-13 of max |K| (against 48 nodes and against a Talbot inversion at 30
+digits). The node weights do not depend on t, nor q^beta on the mode, so
+one call inverts an array of modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
 
-_DEGREE_BOOST = 8
-
 # trapezoidal nodes on the Talbot contour; 48 move no kernel by 1e-12 of max |K|
 _NODES = 32
-
-
-def _check_n_terms(n_terms: int) -> None:
-    if n_terms % 2 != 0 or not 8 <= n_terms <= 20:
-        raise DomainError("n_terms must be even and within [8, 20]")
-
-
-@lru_cache(maxsize=None)
-def stehfest_weights(degree: int) -> tuple:
-    """Exact rational Stehfest weights V_1..V_degree (degree even)."""
-    if degree % 2 != 0 or degree < 2:
-        raise DomainError("degree must be a positive even integer")
-    half = degree // 2
-    weights = []
-    for k in range(1, degree + 1):
-        acc = Fraction(0)
-        for i in range((k + 1) // 2, min(k, half) + 1):
-            acc += Fraction(
-                i**half * math.factorial(2 * i),
-                math.factorial(half - i)
-                * math.factorial(i)
-                * math.factorial(i - 1)
-                * math.factorial(k - i)
-                * math.factorial(2 * i - k),
-            )
-        weights.append((-1) ** (k + half) * acc)
-    return tuple(weights)
-
-
-def invert_stehfest(f, t: float, n_terms: int = 16) -> float:
-    """Invert a Laplace transform at time t from real-axis samples.
-
-    f is called with positive mpmath.mpf abscissae q = k*ln2/t; plain
-    arithmetic expressions work unchanged. Deterministic.
-    """
-    if t <= 0.0:
-        raise DomainError("invert_stehfest requires t > 0")
-    _check_n_terms(n_terms)
-    degree = n_terms + _DEGREE_BOOST
-    with mp.workdps(max(30, int(1.8 * degree))):
-        weights = [mp.mpf(v.numerator) / v.denominator for v in stehfest_weights(degree)]
-        a = mp.ln(2) / mp.mpf(t)
-        total = mp.fsum(weights[k - 1] * f(k * a) for k in range(1, degree + 1))
-        return float(a * total)
 
 
 @dataclass(frozen=True)
@@ -92,16 +41,6 @@ class ModeTransform:
     rn2: float | np.ndarray
 
 
-def eval_transform(mt: ModeTransform, q):
-    """Evaluate F(q) for q > 0; no branch cuts on the positive real axis."""
-    if isinstance(q, np.ndarray):
-        if np.any(q <= 0.0):
-            raise DomainError("eval_transform requires q > 0")
-    elif q <= 0.0:
-        raise DomainError("eval_transform requires q > 0")
-    return 1.0 / (q * (q + (mt.alpha * mt.rn2) * q**mt.beta + mt.nu * mt.rn2))
-
-
 @lru_cache(maxsize=None)
 def _contour(nodes: int) -> tuple:
     """(zeta, weight) at the nodes of the upper half of the contour, q = (N/t) zeta:
@@ -111,6 +50,26 @@ def _contour(nodes: int) -> tuple:
     zeta = 0.5017 * theta * cot - 0.6122 + 0.2645j * theta
     dzeta = 0.5017 * cot - 0.5017 * 0.6407 * theta / np.sin(0.6407 * theta) ** 2 + 0.2645j
     return zeta, np.exp(nodes * zeta) * dzeta
+
+
+def invert(image, t):
+    """L^-1{scale * value}(t) for a conjugate-symmetric image.
+
+    image(q) gets the nodes q on the (t, node) grid, of shape t.shape +
+    (N/2,), and returns a pair (scale, value) whose product is the image:
+    scale broadcasts to the grid and is multiplied into the weights once,
+    value may carry leading axes of its own (one per mode). The trapezoidal
+    sum is 2/N times the imaginary part of the sum over the upper half of
+    the contour.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise DomainError("contour inversion requires finite t > 0")
+    zeta, weight = _contour(_NODES)
+    q = (_NODES / t)[..., None] * zeta
+    scale, value = image(q)
+    weight = (2.0 / t)[..., None] * weight * scale
+    return (value.real * weight.imag + value.imag * weight.real).sum(axis=-1)
 
 
 def invert_mode_velocity_kernel(mt: ModeTransform, t):
@@ -123,19 +82,15 @@ def invert_mode_stress_kernel(mt: ModeTransform, mu: float, alpha1: float, t):
     """Shear time kernels L^-1{(mu + alpha1*q^beta) * F(q)}(t), with the
     shape of mt.rn2 and t broadcast together.
 
-    The image is conjugate-symmetric, so the trapezoidal sum is 2/N times
-    the imaginary part of the sum over the upper half of the contour. The
-    mode enters only through real-times-complex products and one
+    The mode enters only through real-times-complex products and one
     reciprocal, and the last products are real, so a mode's kernel does not
     depend on which other modes share the call.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t) & (t > 0.0)):
-        raise DomainError("contour inversion requires finite t > 0")
-    zeta, weight = _contour(_NODES)
-    q = (_NODES / t)[..., None] * zeta
-    q_beta = q**mt.beta
-    weight = (2.0 / t)[..., None] * weight * (mu + alpha1 * q_beta)
     rn2 = np.asarray(mt.rn2, dtype=float)[..., None]
-    image = 1.0 / (q * q + (mt.alpha * rn2) * (q * q_beta) + (mt.nu * rn2) * q)
-    return (image.real * weight.imag + image.imag * weight.real).sum(axis=-1)
+
+    def image(q):
+        q_beta = q**mt.beta
+        value = 1.0 / (q * q + (mt.alpha * rn2) * (q * q_beta) + (mt.nu * rn2) * q)
+        return mu + alpha1 * q_beta, value
+
+    return invert(image, t)

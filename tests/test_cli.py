@@ -240,9 +240,13 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert code == EXIT_OK
         assert doc["passed"] is True
-        names = {c["name"] for c in doc["checks"]}
-        assert "wronskian_identity" in names
-        assert "gseries_refusal_beta095" in names
+        assert [c["name"] for c in doc["checks"]] == [
+            "wronskian_identity", "g_function_single_term", "g_function_exponential",
+            "gl_weights_beta1", "eigenvalue_residuals", "eigenvalue_spacing",
+            "contour_ramp", "contour_exponential", "beta1_velocity_reduction",
+            "beta1_stress_reduction", "boundary_conditions", "linearity",
+            "gseries_refusal_beta095",
+        ]
         for c in doc["checks"]:
             assert set(c) >= {"name", "discrepancy", "threshold", "passed"}
 
@@ -329,6 +333,12 @@ class TestDeterminismAndConfig:
         assert main(["profile", "--bogus-flag"]) == EXIT_INVALID_INPUT
         assert main([]) == EXIT_INVALID_INPUT
 
+    def test_usage_errors_name_the_problem(self, capsys):
+        assert invalid_input(capsys, ["profile", "--bogus"],
+                             "gsgflow: error: unrecognized arguments: --bogus")
+        assert invalid_input(capsys, ["profile", "--format", "xml"],
+                             "argument --format: invalid choice: 'xml'")
+
 
 class TestFigurePresets:
     def test_fig1_five_curves(self, tmp_path):
@@ -384,4 +394,28 @@ def test_grid_checks_refuse_for_every_command(tmp_path, capsys, argv, name):
 def test_empty_list_refused(tmp_path, capsys, argv, name):
     out = tmp_path / "x.csv"
     assert invalid_input(capsys, [*argv, "--out", str(out)], name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    # prefix matching would read these as --tol and --modes
+    (["fig1", "--t", "0.5"], "--t 0.5"),
+    (["fig2", "--t", "0.5", "--strategy", "series"], "--t 0.5"),
+    (["profile", "--mod", "5"], "--mod 5"),
+    # options a subcommand does not honour
+    (["validate", "--approx-roots"], "--approx-roots"),
+    (["validate", "--modes", "5"], "--modes"),
+    (["validate", "--strategy", "series"], "--strategy"),
+    (["validate", "--tol", "0.5"], "--tol"),
+    (["validate", "--format", "json"], "--format"),
+    (["roots", "--modes", "3"], "--modes"),
+    (["roots", "--strategy", "series"], "--strategy"),
+    (["roots", "--tol", "0.5"], "--tol"),
+    (["fig1", "--approx-roots"], "--approx-roots"),
+    (["profile", "--approx-roots"], "--approx-roots"),
+])
+def test_options_a_command_does_not_take_refused(tmp_path, capsys, argv, name):
+    out = tmp_path / "x.csv"
+    assert invalid_input(capsys, [*argv, "--out", str(out)],
+                         f"unrecognized arguments: {name}")
     assert not out.exists()
