@@ -25,6 +25,9 @@ Options, by subcommand:
 An option the subcommand does not take, or an abbreviated one, is invalid
 input.
 
+The argument parser is built once per process and reused by every call of
+main.
+
 Exit codes: 0 success, 1 validation check failure, 2 numerical
 non-convergence, 3 invalid input.
 
@@ -36,6 +39,7 @@ R1=1, R2=4, Omega1=3, Omega2=1.5, rho=1260, alpha1=11.34, mu=1.48.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,22 +174,25 @@ def build_config(args) -> RunConfig:
 # output helpers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_table(path: Optional[str], fmt: str, columns: list, rows: list,
+def _write_table(path: Optional[str], fmt: str, columns: list, table: np.ndarray,
                  timestamp: bool) -> None:
+    """Write the rows of a 2-D float table under the named columns.
+
+    Values are written to 17 significant digits in CSV and as JSON floats.
+    Named columns beyond the table's width are written empty (JSON null).
+    """
+    rows = np.asarray(table, dtype=float).tolist()
+    empty = len(columns) - len(rows[0]) if rows else 0
     out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
     try:
         if fmt == "csv":
             if timestamp:
                 out.write(f"# generated = {datetime.now(timezone.utc).isoformat()}\n")
             out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+            line = ",".join(["%.17g"] * (len(columns) - empty) + [""] * empty) + "\n"
+            out.writelines(line % tuple(row) for row in rows)
         else:
-            doc = {"columns": columns, "rows": [[None if v is None else float(v) for v in row] for row in rows]}
+            doc = {"columns": columns, "rows": [row + [None] * empty for row in rows]}
             if timestamp:
                 doc["generated"] = datetime.now(timezone.utc).isoformat()
             json.dump(doc, out, indent=2)
@@ -256,14 +263,17 @@ def _sweep(config: RunConfig, args, columns: list, family: list, r, t,
     eig = config.eigenvalues()
     blocks = [field_block(params, config.geometry, eig, r, t, config.controls, stress=stress)
               for _, params in family]
-    fields = [np.reshape(b.tau if stress else b.omega, (len(r), -1)) for b in blocks]
-    rows = []
-    for j, t_j in enumerate(np.atleast_1d(t)):
-        for i, r_i in enumerate(r):
-            for (tag, _), field in zip(family, fields):
-                named = {"t": t_j, "r": r_i, "beta": tag, columns[-1]: field[i, j]}
-                rows.append(tuple(named[c] for c in columns))
-    _write_table(args.out, args.format, columns, rows, config.timestamp)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    r = np.asarray(r, dtype=float)
+    # values[j, i, c]: time t_j, radius r_i, curve c
+    values = np.stack([np.reshape(b.tau if stress else b.omega, (len(r), len(t))).T
+                       for b in blocks], axis=-1)
+    named = {"t": t[:, None, None], "r": r[None, :, None],
+             "beta": np.array([tag for tag, _ in family])[None, None, :],
+             columns[-1]: values}
+    table = np.stack([np.broadcast_to(named[c], values.shape).ravel() for c in columns],
+                     axis=1)
+    _write_table(args.out, args.format, columns, table, config.timestamp)
     return EXIT_OK
 
 
@@ -274,11 +284,12 @@ def _sweep(config: RunConfig, args, columns: list, family: list, r, t,
 def cmd_roots(config: RunConfig, args) -> int:
     solve = approx_roots if args.approx_roots else find_roots
     eig = solve(config.geometry.R1, config.geometry.R2, args.n_max)
-    rows = []
-    for i, root in enumerate(eig.roots, start=1):
-        residual = None if args.approx_roots else eig.residuals[i - 1]
-        rows.append((i, root, residual))
-    _write_table(args.out, args.format, ["n", "r_n", "residual"], rows, config.timestamp)
+    # solved roots carry their residuals; the asymptotic ones leave that column empty
+    table = [np.arange(1, len(eig) + 1), eig.roots]
+    if not args.approx_roots:
+        table.append(eig.residuals)
+    _write_table(args.out, args.format, ["n", "r_n", "residual"], np.column_stack(table),
+                 config.timestamp)
     return EXIT_OK
 
 
@@ -343,7 +354,13 @@ _FIG2 = ("preset of history: --r-list 1.3,2.5,3.8 --t-max 10 --t-steps 50 "
          "--betas 0.3,0.6,0.9 --include-t0")
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The gsgflow argument parser, built on the first call and shared after.
+
+    Parsing keeps no state in the parser: each parse_args call returns a
+    fresh namespace, and a refused command line only raises SystemExit.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--out", help="output file (default stdout)")

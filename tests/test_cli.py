@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gsgflow import solution
+import gsgflow
+from gsgflow import cli, solution
 from gsgflow.cli import EXIT_INVALID_INPUT, EXIT_NON_CONVERGENCE, EXIT_OK, main
 
 
@@ -338,6 +343,65 @@ class TestDeterminismAndConfig:
                              "gsgflow: error: unrecognized arguments: --bogus")
         assert invalid_input(capsys, ["profile", "--format", "xml"],
                              "argument --format: invalid choice: 'xml'")
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # each argv in one process, after a refused one, writes what it writes
+        # as the first command of a fresh interpreter
+        argvs = [["fig1"], ["fig1", "--t", "0.5"], ["profile", "--t", "2", "--betas", "0.5"],
+                 ["fig2"]]
+        src = str(Path(gsgflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        codes = []
+        for argv in argvs:
+            argv = [*argv, "--no-timestamp"]
+            codes.append(main(argv))
+            in_process = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "gsgflow.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (codes[-1], in_process.out, in_process.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [EXIT_OK, EXIT_INVALID_INPUT, EXIT_OK, EXIT_OK]
+
+
+class TestWriter:
+    # the bytes of one value per column, as the writer has always formatted them
+    VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, *range(1, 51)]
+
+    def _written(self, tmp_path, fmt, columns, table):
+        out = tmp_path / f"table.{fmt}"
+        cli._write_table(str(out), fmt, columns, table, timestamp=False)
+        return out.read_text()
+
+    def test_csv_seventeen_digits(self, tmp_path):
+        rows = list(zip(self.VALUES, reversed(self.VALUES)))
+        want = "a,b\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+        assert self._written(tmp_path, "csv", ["a", "b"], np.array(rows)) == want
+
+    def test_json_floats(self, tmp_path):
+        rows = list(zip(self.VALUES, reversed(self.VALUES)))
+        doc = {"columns": ["a", "b"], "rows": [[float(v) for v in row] for row in rows]}
+        want = json.dumps(doc, indent=2) + "\n"
+        assert self._written(tmp_path, "json", ["a", "b"], np.array(rows)) == want
+
+    def test_columns_beyond_the_table_written_empty(self, tmp_path):
+        table = np.array([[1.0, 0.5], [2.0, 0.25]])
+        assert self._written(tmp_path, "csv", ["n", "x", "y"], table) == "n,x,y\n1,0.5,\n2,0.25,\n"
+        doc = json.loads(self._written(tmp_path, "json", ["n", "x", "y"], table))
+        assert doc["rows"] == [[1.0, 0.5, None], [2.0, 0.25, None]]
+
+    def test_approx_roots_json_null_residuals(self, tmp_path):
+        code, text = run(tmp_path, "roots", "--n-max", "4", "--approx-roots", "--format", "json",
+                         "--no-timestamp")
+        assert code == EXIT_OK
+        rows = json.loads(text)["rows"]
+        assert [row[0] for row in rows] == [1.0, 2.0, 3.0, 4.0]
+        assert all(row[2] is None for row in rows)
 
 
 class TestFigurePresets:
