@@ -3,7 +3,7 @@ of a generalized (fractional) second grade fluid between coaxial cylinders.
 """
 
 from .controls import SeriesControls, Strategy
-from .eigenvalues import EigenvalueSet, approx_roots, find_roots
+from .eigenvalues import EigenvalueSet, find_roots
 from .errors import (
     ConfigError,
     ContractError,
@@ -13,8 +13,8 @@ from .errors import (
     NonConvergenceError,
     RootScanError,
 )
-from .fdsolver import FieldGrid, GLWeights, GridSpec, gl_weights, solve
-from .laplace import ModeTransform, invert_mode_stress_kernel, invert_mode_velocity_kernel
+from .fdsolver import FieldGrid, GridSpec, gl_weights, solve
+from .laplace import invert_mode_stress_kernel, invert_mode_velocity_kernel
 from .solution import (
     AnnulusGeometry,
     FieldSample,
@@ -26,15 +26,7 @@ from .solution import (
     velocity,
     velocity_sg_closed,
 )
-from .special import (
-    GFunctionArgs,
-    SignedLogAccumulator,
-    SignedLogValue,
-    bessel,
-    cross_b,
-    cross_b1,
-    g_function,
-)
+from .special import GFunctionArgs, cross_b, cross_b1, g_function
 
 __version__ = "0.1.0"
 
@@ -48,19 +40,13 @@ __all__ = [
     "FieldSample",
     "FluidParams",
     "GFunctionArgs",
-    "GLWeights",
     "GeometryError",
     "GridSpec",
     "ModeEvaluationError",
-    "ModeTransform",
     "NonConvergenceError",
     "RootScanError",
     "SeriesControls",
-    "SignedLogAccumulator",
-    "SignedLogValue",
     "Strategy",
-    "approx_roots",
-    "bessel",
     "cross_b",
     "cross_b1",
     "find_roots",

@@ -17,13 +17,14 @@ Options, by subcommand:
   all but validate      --format csv|json (validate always writes JSON)
   profile, history, stress, fig1, fig2
                         --modes, --tol, --strategy
-  roots                 --n-max, --approx-roots
+  roots                 --n-max
   profile               --t, --betas, --r-steps
   history               --r-list, --t-max, --t-steps, --betas, --include-t0
   stress                --t, --r-steps, --t-max, --t-steps, --r-list, --betas
   validate              --level fast|full
 An option the subcommand does not take, or an abbreviated one, is invalid
-input.
+input. stress takes --t and --r-steps only without --t-max, and --t-steps
+and --r-list only with it.
 
 The argument parser is built once per process and reused by every call of
 main.
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import fdsolver
 from .controls import SeriesControls, Strategy
-from .eigenvalues import EigenvalueSet, approx_roots, find_roots
+from .eigenvalues import EigenvalueSet, find_roots
 from .errors import (
     ConfigError,
     ContractError,
@@ -179,20 +180,18 @@ def _write_table(path: Optional[str], fmt: str, columns: list, table: np.ndarray
     """Write the rows of a 2-D float table under the named columns.
 
     Values are written to 17 significant digits in CSV and as JSON floats.
-    Named columns beyond the table's width are written empty (JSON null).
     """
     rows = np.asarray(table, dtype=float).tolist()
-    empty = len(columns) - len(rows[0]) if rows else 0
     out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
     try:
         if fmt == "csv":
             if timestamp:
                 out.write(f"# generated = {datetime.now(timezone.utc).isoformat()}\n")
             out.write(",".join(columns) + "\n")
-            line = ",".join(["%.17g"] * (len(columns) - empty) + [""] * empty) + "\n"
+            line = ",".join(["%.17g"] * len(columns)) + "\n"
             out.writelines(line % tuple(row) for row in rows)
         else:
-            doc = {"columns": columns, "rows": [row + [None] * empty for row in rows]}
+            doc = {"columns": columns, "rows": rows}
             if timestamp:
                 doc["generated"] = datetime.now(timezone.utc).isoformat()
             json.dump(doc, out, indent=2)
@@ -228,13 +227,13 @@ def _radii(config: RunConfig, r_steps: int) -> np.ndarray:
     return np.linspace(config.geometry.R1, config.geometry.R2, r_steps)
 
 
-def _times(args, include_t0: bool = False) -> np.ndarray:
+def _times(t_max: float, t_steps: int, include_t0: bool = False) -> np.ndarray:
     """The t column t_max/t_steps, ..., t_max, from 0 with include_t0."""
-    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
-        raise ConfigError(f"t-max must be finite and > 0, got {args.t_max!r}")
-    if args.t_steps < 1:
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ConfigError(f"t-max must be finite and > 0, got {t_max!r}")
+    if t_steps < 1:
         raise ConfigError("t-steps must be >= 1")
-    t_values = np.linspace(0.0, args.t_max, args.t_steps + 1)
+    t_values = np.linspace(0.0, t_max, t_steps + 1)
     return t_values if include_t0 else t_values[1:]
 
 
@@ -282,14 +281,9 @@ def _sweep(config: RunConfig, args, columns: list, family: list, r, t,
 
 
 def cmd_roots(config: RunConfig, args) -> int:
-    solve = approx_roots if args.approx_roots else find_roots
-    eig = solve(config.geometry.R1, config.geometry.R2, args.n_max)
-    # solved roots carry their residuals; the asymptotic ones leave that column empty
-    table = [np.arange(1, len(eig) + 1), eig.roots]
-    if not args.approx_roots:
-        table.append(eig.residuals)
-    _write_table(args.out, args.format, ["n", "r_n", "residual"], np.column_stack(table),
-                 config.timestamp)
+    eig = find_roots(config.geometry.R1, config.geometry.R2, args.n_max)
+    table = np.column_stack([np.arange(1, len(eig) + 1), eig.roots, eig.residuals])
+    _write_table(args.out, args.format, ["n", "r_n", "residual"], table, config.timestamp)
     return EXIT_OK
 
 
@@ -301,17 +295,26 @@ def cmd_profile(config: RunConfig, args) -> int:
 
 def cmd_history(config: RunConfig, args) -> int:
     r_list = _float_list(args.r_list, "r")
-    t_values = _times(args, args.include_t0)
+    t_values = _times(args.t_max, args.t_steps, args.include_t0)
     family = _curve_family(config, _beta_list(args.betas))
     return _sweep(config, args, ["t", "r", "beta", "omega"], family, r_list, t_values)
 
 
 def cmd_stress(config: RunConfig, args) -> int:
+    """An r sweep at --t (default 5) over --r-steps radii (default 41), or
+    with --t-max a t sweep of --t-steps (default 50) at the --r-list radii
+    (default 1.3,2.5,3.8); the other sweep's options are refused."""
     family = _orders(config, _beta_list(args.betas))
     if args.t_max is None:
-        radii, t_values = _radii(config, args.r_steps), args.t
+        if args.r_list is not None or args.t_steps is not None:
+            raise ConfigError("--r-list and --t-steps need --t-max")
+        radii = _radii(config, 41 if args.r_steps is None else args.r_steps)
+        t_values = 5.0 if args.t is None else args.t
     else:
-        radii, t_values = _float_list(args.r_list, "r"), _times(args)
+        if args.t is not None or args.r_steps is not None:
+            raise ConfigError("--t and --r-steps do not apply with --t-max")
+        radii = _float_list("1.3,2.5,3.8" if args.r_list is None else args.r_list, "r")
+        t_values = _times(args.t_max, 50 if args.t_steps is None else args.t_steps)
     return _sweep(config, args, ["r", "t", "beta", "tau"], family, radii, t_values,
                   stress=True)
 
@@ -386,8 +389,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", parents=[common, table], help="tabulate eigenvalues")
     p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--approx-roots", action="store_true",
-                   help="use the asymptotic roots n*pi/(R2-R1) instead of solved roots")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("profile", parents=field, help="velocity profile omega(r) at fixed t")
@@ -407,11 +408,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_history)
 
     p = sub.add_parser("stress", parents=field, help="shear stress sweep")
-    p.add_argument("--t", type=float, default=5.0, help="fixed time for an r sweep")
-    p.add_argument("--r-steps", type=int, default=41)
+    p.add_argument("--t", type=float, help="fixed time for an r sweep (default 5)")
+    p.add_argument("--r-steps", type=int, help="radii of an r sweep (default 41)")
     p.add_argument("--t-max", type=float, help="sweep t instead, at --r-list radii")
-    p.add_argument("--t-steps", type=int, default=50)
-    p.add_argument("--r-list", default="1.3,2.5,3.8")
+    p.add_argument("--t-steps", type=int, help="steps of a t sweep (default 50)")
+    p.add_argument("--r-list", help="radii of a t sweep (default 1.3,2.5,3.8)")
     p.add_argument("--betas", help="comma list of fractional orders")
     p.set_defaults(func=cmd_stress)
 

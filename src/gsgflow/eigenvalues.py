@@ -182,15 +182,3 @@ def find_roots(R1: float, R2: float, n_max: int) -> EigenvalueSet:
     residuals = np.abs(_f(roots, R1, R2))
     return EigenvalueSet(R1=R1, R2=R2, roots=roots, residuals=residuals)
 
-
-def approx_roots(R1: float, R2: float, n_max: int) -> EigenvalueSet:
-    """Asymptotic approximation r_n = n*pi/(R2-R1).
-
-    Residuals hold the actual |B1(R1*r_n)| at the approximate roots, which
-    is generally far from zero for the first few n.
-    """
-    _check_request(R1, R2, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    roots = n * math.pi / (R2 - R1)
-    residuals = np.abs(_f(roots, R1, R2))
-    return EigenvalueSet(R1=R1, R2=R2, roots=roots, residuals=residuals)

@@ -48,23 +48,16 @@ class GridSpec:
             raise ValueError("t_end must be >= dt")
 
 
-@dataclass(frozen=True)
-class GLWeights:
-    """Grunwald-Letnikov convolution weights w_0..w_M for order beta."""
-
-    beta: float
-    weights: np.ndarray
-
-
-def gl_weights(beta: float, M: int) -> GLWeights:
-    """w_0 = 1 and w_k = w_{k-1} * (1 - (beta+1)/k)."""
+def gl_weights(beta: float, M: int) -> np.ndarray:
+    """Grunwald-Letnikov convolution weights w_0..w_M for order beta:
+    w_0 = 1 and w_k = w_{k-1} * (1 - (beta+1)/k)."""
     if not 0.0 < beta <= 1.0:
         raise DomainError("beta must lie in (0, 1]")
     if M < 0:
         raise DomainError("M must be >= 0")
     # operator.index refuses a non-integer M
     factors = 1.0 - (beta + 1.0) / np.arange(1, operator.index(M) + 1)
-    return GLWeights(beta=beta, weights=np.cumprod(np.concatenate(([1.0], factors))))
+    return np.cumprod(np.concatenate(([1.0], factors)))
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,6 @@ class FieldGrid:
         m = int(round((t - self.t[0]) / (self.t[1] - self.t[0]))) if len(self.t) > 1 else 0
         m = min(max(m, 0), len(self.t) - 1)
         return float(np.interp(r, self.r, self.omega[m]))
-
-    def write_csv(self, stream) -> None:
-        """Dump the field as `r,t,omega` rows (time-major)."""
-        stream.write("r,t,omega\n")
-        for m, tm in enumerate(self.t):
-            row = self.omega[m]
-            for i, ri in enumerate(self.r):
-                stream.write(f"{ri:.17g},{tm:.17g},{row[i]:.17g}\n")
 
 
 def solve(params: FluidParams, geometry: AnnulusGeometry, grid: GridSpec) -> FieldGrid:
@@ -115,7 +100,7 @@ def solve(params: FluidParams, geometry: AnnulusGeometry, grid: GridSpec) -> Fie
     dia = -2.0 / dr**2 - 1.0 / ri**2
     sup = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
 
-    w = gl_weights(params.beta, n_steps).weights
+    w = gl_weights(params.beta, n_steps)
     w_rev = w[::-1].copy()
     nonzero = np.nonzero(w)[0]
     last_w = int(nonzero[-1]) if nonzero.size else 0

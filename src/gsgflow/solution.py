@@ -29,7 +29,6 @@ from .errors import ContractError, DomainError, GeometryError, NonConvergenceErr
 from .laplace import ModeTransform, invert_mode_stress_kernel, invert_mode_velocity_kernel
 from .special import (
     GFunctionArgs,
-    SignedLogValue,
     _check_cancellation_budget,
     _sum_series,
     cross_b,
@@ -264,8 +263,11 @@ def _gseries_kernel(nu_rn2: float, alpha_rn2: float, beta: float, t: float,
                     controls,
                 )
                 term = mu * term + alpha1 * g_str
-            value = SignedLogValue.from_float(term)
-            yield 1, ((k * log_nu + value.log_magnitude, (1 if k % 2 == 0 else -1) * value.sign),)
+            if term == 0.0:
+                yield 1, ()
+                continue
+            sign = (1 if term > 0.0 else -1) * (1 if k % 2 == 0 else -1)
+            yield 1, ((k * log_nu + math.log(abs(term)), sign),)
 
     return _sum_series(steps(), controls, "G-series")
 

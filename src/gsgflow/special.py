@@ -1,17 +1,17 @@
-"""Special functions: Bessel orders 0/1, wall cross-products (broadcast
-over arrays of radii and roots), the Lorenzo-Hartley generalized
-G-function, and signed log-space series summation.
+"""Special functions: the wall cross-products of Bessel orders 0/1
+(broadcast over arrays of radii and roots, on scipy's j0/j1/y0/y1), the
+Lorenzo-Hartley generalized G-function, and signed log-space series
+summation.
 
 Series with Gamma(k+j+1)-type factors overflow double precision long
 before they converge, so every term is composed in (log magnitude, sign)
-form and only materialized when the accumulated sum is requested. Every
-series of the package (the G-function here, the per-mode time kernels in
-solution) is a generator of such terms summed by one protocol,
-_sum_series: it stops after three consecutive quiet steps, refuses past
-SeriesControls.max_terms terms, and refuses a sum whose largest term
-exceeds it by more than CANCELLATION_LIMIT. Series whose terms would peak
-far beyond that budget are refused before summing by
-_check_cancellation_budget.
+form and only materialized when the sum is complete. Every series of the
+package (the G-function here, the per-mode time kernels in solution) is a
+generator of such terms summed by one function, _sum_series: it stops
+after three consecutive quiet steps, refuses past SeriesControls.max_terms
+terms, and refuses a sum whose largest term exceeds it by more than
+CANCELLATION_LIMIT. Series whose terms would peak far beyond that budget
+are refused before summing by _check_cancellation_budget.
 """
 
 from __future__ import annotations
@@ -37,156 +37,87 @@ _MIN_SERIES_ORDER = 0.05
 _DEFAULT_CONTROLS = SeriesControls()
 
 
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as natural log of |x| plus a sign in {-1, 0, +1}.
-
-    sign == 0 encodes exact zero; log_magnitude is then ignored.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @classmethod
-    def from_float(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(-math.inf, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-
-class SignedLogAccumulator:
-    """Streaming sum of signed log-space terms.
-
-    Keeps an O(1) running estimate for stopping rules, and materializes the
-    exact sum on demand: when every term fits the double range the terms are
-    exponentiated directly and combined with math.fsum, so the result agrees
-    bit-for-bit with compensated summation of the term values; otherwise a
-    single exponent shift is applied first.
-    """
-
-    __slots__ = ("_logs", "_signs", "_max_log", "_shift", "_acc")
-
-    def __init__(self):
-        self._logs = []
-        self._signs = []
-        self._max_log = -math.inf
-        self._shift = None
-        self._acc = 0.0
-
-    def __len__(self):
-        return len(self._logs)
-
-    def add(self, log_magnitude: float, sign: int) -> None:
-        if sign == 0 or log_magnitude == -math.inf:
-            return
-        self._logs.append(log_magnitude)
-        self._signs.append(sign)
-        if log_magnitude > self._max_log:
-            self._max_log = log_magnitude
-        if self._shift is None:
-            self._shift = log_magnitude
-            self._acc = float(sign)
-        elif log_magnitude > self._shift + 1.0:
-            # renormalize so exp() below never overflows
-            self._acc *= math.exp(self._shift - log_magnitude)
-            self._shift = log_magnitude
-            self._acc += sign
-        else:
-            self._acc += sign * math.exp(log_magnitude - self._shift)
-
-    def estimate_log(self) -> float:
-        """Cheap log-magnitude estimate of the current partial sum."""
-        if self._shift is None or self._acc == 0.0:
-            return -math.inf
-        return self._shift + math.log(abs(self._acc))
-
-    def total(self) -> SignedLogValue:
-        if not self._logs:
-            return SignedLogValue(-math.inf, 0)
-        if self._max_log <= 700.0:
-            tot = math.fsum(s * math.exp(l) for l, s in zip(self._logs, self._signs))
-            return SignedLogValue.from_float(tot)
-        shift = self._max_log - 350.0
-        tot = math.fsum(s * math.exp(l - shift) for l, s in zip(self._logs, self._signs))
-        if tot == 0.0:
-            return SignedLogValue(-math.inf, 0)
-        return SignedLogValue(shift + math.log(abs(tot)), 1 if tot > 0 else -1)
-
-    def condition(self, total: SignedLogValue) -> float:
-        """max |term| / |sum| for the total() of these terms, passed in so
-        the sum is materialized once; large values mean catastrophic
-        cancellation."""
-        if total.sign == 0:
-            return math.inf if self._logs else 1.0
-        return math.exp(min(self._max_log - total.log_magnitude, 700.0))
-
-
-def _partial_sum(total: SignedLogValue) -> float:
-    # the sum as a float for NonConvergenceError, inf when beyond the double range
-    if total.log_magnitude < 700.0:
-        return total.to_float()
-    return math.copysign(math.inf, total.sign)
-
-
 def _sum_series(steps, controls: SeriesControls, what: str) -> float:
     """Sum a series given as an unbounded iterable of steps.
 
     Each step is (terms, entries): the number of series terms it holds
     (one outer index, or one (j, k) pair of a double series) and their
-    accumulator entries as (log magnitude, sign) pairs. A step is quiet
-    when its largest entry is below controls.tol_rel times the running
-    sum; the sum stops after three consecutive quiet steps. Raises
-    NonConvergenceError, carrying the partial sum and the terms used, when
-    a step that does not complete the quiet run takes the term count past
-    controls.max_terms, or when the largest entry exceeds the final sum by
-    more than CANCELLATION_LIMIT, or when the sum is beyond the double
-    range. `what` names the series in messages.
+    (log magnitude, sign) pairs; an entry of sign 0 or log magnitude -inf
+    adds nothing. A step is quiet when its largest entry is below
+    controls.tol_rel times the running sum, an O(1) estimate kept at one
+    exponent shift; the sum stops after three consecutive quiet steps.
+
+    The entries are then summed exactly: with math.fsum of their values
+    when every entry fits the double range, else with math.fsum after a
+    single exponent shift. The sum is held as (log magnitude, sign) and
+    returned as sign * exp(log magnitude). Raises NonConvergenceError,
+    carrying the partial sum (+-inf beyond the double range) and the terms
+    used, when a step that does not complete the quiet run takes the term
+    count past controls.max_terms, or when the largest entry exceeds the
+    final sum by more than CANCELLATION_LIMIT, or when the sum is beyond
+    the double range. `what` names the series in messages.
     """
     log_tol = math.log(controls.tol_rel)
-    acc = SignedLogAccumulator()
-    add = acc.add
+    logs, signs = [], []
+    max_log = -math.inf
+    # running estimate acc * e^shift, renormalized so exp() never overflows
+    shift, acc = -math.inf, 0.0
     quiet = 0
     terms = 0
+
+    def total():
+        # (log |sum|, sign) of every entry so far; (-inf, 0) for an exact zero
+        if max_log <= 700.0:
+            log_shift, tot = 0.0, math.fsum(s * math.exp(l) for l, s in zip(logs, signs))
+        else:
+            log_shift = max_log - 350.0
+            tot = math.fsum(s * math.exp(l - log_shift) for l, s in zip(logs, signs))
+        if tot == 0.0:
+            return -math.inf, 0
+        return log_shift + math.log(abs(tot)), 1 if tot > 0 else -1
+
+    def refuse(message, log_sum, sign):
+        partial = sign * math.exp(log_sum) if log_sum < 700.0 else math.copysign(math.inf, sign)
+        return NonConvergenceError(f"{what} {message}", partial_sum=partial, terms_used=terms)
+
     for count, entries in steps:
         step_max = -math.inf
         for log_magnitude, sign in entries:
-            add(log_magnitude, sign)
             if log_magnitude > step_max:
                 step_max = log_magnitude
+            if sign == 0 or log_magnitude == -math.inf:
+                continue
+            logs.append(log_magnitude)
+            signs.append(sign)
+            if log_magnitude > max_log:
+                max_log = log_magnitude
+            if log_magnitude > shift + 1.0:
+                acc = acc * math.exp(shift - log_magnitude) + sign
+                shift = log_magnitude
+            else:
+                acc += sign * math.exp(log_magnitude - shift)
         terms += count
-        if step_max < acc.estimate_log() + log_tol:
+        estimate = shift + math.log(abs(acc)) if acc != 0.0 else -math.inf
+        if step_max < estimate + log_tol:
             quiet += 1
             if quiet == 3:
                 break
         else:
             quiet = 0
         if terms > controls.max_terms:
-            raise NonConvergenceError(
-                f"{what} did not converge within {controls.max_terms} terms",
-                partial_sum=_partial_sum(acc.total()),
-                terms_used=terms,
-            )
-    total = acc.total()
-    condition = acc.condition(total)
+            raise refuse(f"did not converge within {controls.max_terms} terms", *total())
+    log_sum, sign = total()
+    if sign == 0:
+        condition = math.inf if logs else 1.0
+    else:
+        condition = math.exp(min(max_log - log_sum, 700.0))
     if condition > CANCELLATION_LIMIT:
-        raise NonConvergenceError(
-            f"{what} cancellation exceeds double precision (condition ~ {condition:.2e})",
-            partial_sum=_partial_sum(total),
-            terms_used=terms,
-        )
+        raise refuse(f"cancellation exceeds double precision (condition ~ {condition:.2e})",
+                     log_sum, sign)
     try:
-        return total.to_float()
+        return sign * math.exp(log_sum)
     except OverflowError:
-        raise NonConvergenceError(
-            f"{what} sum exceeds the double range",
-            partial_sum=math.copysign(math.inf, total.sign),
-            terms_used=terms,
-        ) from None
+        raise refuse("sum exceeds the double range", log_sum, sign) from None
 
 
 def _check_cancellation_budget(abs_d: float, a: float, t: float, what: str) -> None:
@@ -203,25 +134,6 @@ def _check_cancellation_budget(abs_d: float, a: float, t: float, what: str) -> N
                 f"{what} for |d|={abs_d:g}, a={a:g}, t={t:g} exceeds the "
                 "double-precision cancellation budget"
             )
-
-
-def bessel(kind: str, order: int, x: float) -> float:
-    """Bessel function J or Y of order 0 or 1.
-
-    Delegates to scipy's machine-precision routines, which comfortably meet
-    the 1e-12 absolute error target on [1e-6, 1e3]. Y requires x > 0.
-    """
-    if kind not in ("J", "Y"):
-        raise ValueError("kind must be 'J' or 'Y'")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if kind == "J":
-        if x < 0.0:
-            raise DomainError("J-kind requires x >= 0")
-        return float(j0(x) if order == 0 else j1(x))
-    if x <= 0.0:
-        raise DomainError("Y-kind requires x > 0")
-    return float(y0(x) if order == 0 else y1(x))
 
 
 def _check_cross_args(name: str, r, rn, R2: float) -> None:

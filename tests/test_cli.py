@@ -1,8 +1,10 @@
 """Command-line interface tests: wire formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,14 +62,6 @@ class TestRoots:
         assert len(rows) == 50
         assert float(rows[0][1]) == pytest.approx(math.pi / 3.0, rel=0.4)
         assert all(abs(float(r[2])) < 1e-10 for r in rows)
-
-    def test_approx_roots_empty_residual_column(self, tmp_path):
-        code, text = run(tmp_path, "roots", "--n-max", "4", "--approx-roots", "--no-timestamp")
-        assert code == EXIT_OK
-        _, rows = parse_csv(text)
-        for n, row in enumerate(rows, start=1):
-            assert float(row[1]) == n * math.pi / 3.0
-            assert row[2] == ""
 
     def test_zero_n_max_rejected(self, tmp_path):
         code, text = run(tmp_path, "roots", "--n-max", "0", "--no-timestamp")
@@ -389,19 +383,6 @@ class TestWriter:
         want = json.dumps(doc, indent=2) + "\n"
         assert self._written(tmp_path, "json", ["a", "b"], np.array(rows)) == want
 
-    def test_columns_beyond_the_table_written_empty(self, tmp_path):
-        table = np.array([[1.0, 0.5], [2.0, 0.25]])
-        assert self._written(tmp_path, "csv", ["n", "x", "y"], table) == "n,x,y\n1,0.5,\n2,0.25,\n"
-        doc = json.loads(self._written(tmp_path, "json", ["n", "x", "y"], table))
-        assert doc["rows"] == [[1.0, 0.5, None], [2.0, 0.25, None]]
-
-    def test_approx_roots_json_null_residuals(self, tmp_path):
-        code, text = run(tmp_path, "roots", "--n-max", "4", "--approx-roots", "--format", "json",
-                         "--no-timestamp")
-        assert code == EXIT_OK
-        rows = json.loads(text)["rows"]
-        assert [row[0] for row in rows] == [1.0, 2.0, 3.0, 4.0]
-        assert all(row[2] is None for row in rows)
 
 
 class TestFigurePresets:
@@ -442,6 +423,12 @@ class TestFigurePresets:
     (["stress", "--t-max", "5", "--t-steps", "0"], "t-steps"),
     (["history", "--t-max", "inf"], "t-max"),
     (["stress", "--t-max", "inf"], "t-max"),
+    # stress options of the sweep that --t-max does not select
+    (["stress", "--t", "3", "--r-list", "2.0"], "--r-list"),
+    (["stress", "--t-steps", "4"], "--t-steps"),
+    (["stress", "--t-max", "2", "--t-steps", "1", "--r-steps", "3", "--t", "9",
+      "--r-list", "2.0"], "--r-steps"),
+    (["stress", "--t-max", "2", "--t", "9"], "--t "),
 ])
 def test_grid_checks_refuse_for_every_command(tmp_path, capsys, argv, name):
     out = tmp_path / "x.csv"
@@ -477,9 +464,40 @@ def test_empty_list_refused(tmp_path, capsys, argv, name):
     (["roots", "--tol", "0.5"], "--tol"),
     (["fig1", "--approx-roots"], "--approx-roots"),
     (["profile", "--approx-roots"], "--approx-roots"),
+    (["roots", "--approx-roots"], "--approx-roots"),
 ])
 def test_options_a_command_does_not_take_refused(tmp_path, capsys, argv, name):
     out = tmp_path / "x.csv"
     assert invalid_input(capsys, [*argv, "--out", str(out)],
                          f"unrecognized arguments: {name}")
     assert not out.exists()
+
+
+def test_docstring_options_match_the_parser():
+    # the "Options, by subcommand" section names every long option, and only those
+    doc = cli.__doc__
+    section = doc[doc.index("Options, by subcommand:"):].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {opt for p in sub.choices.values() for a in p._actions
+              for opt in a.option_strings if opt.startswith("--")}
+    assert documented == parsed - {"--help"}
+
+
+def test_public_surface():
+    assert gsgflow.__all__ == [
+        "AnnulusGeometry", "ConfigError", "ContractError", "DomainError", "EigenvalueSet",
+        "FieldGrid", "FieldSample", "FluidParams", "GFunctionArgs", "GeometryError",
+        "GridSpec", "ModeEvaluationError", "NonConvergenceError", "RootScanError",
+        "SeriesControls", "Strategy", "cross_b", "cross_b1", "find_roots", "g_function",
+        "gl_weights", "invert_mode_stress_kernel", "invert_mode_velocity_kernel",
+        "mode_coefficients", "shear_stress", "shear_stress_sg_closed", "solve",
+        "steady_part", "velocity", "velocity_sg_closed",
+    ]
+    for name in gsgflow.__all__:
+        assert getattr(gsgflow, name) is not None
+    for name in ("approx_roots", "bessel", "GLWeights", "ModeTransform",
+                 "SignedLogAccumulator", "SignedLogValue"):
+        assert not hasattr(gsgflow, name)
+    assert not hasattr(gsgflow.FieldGrid, "write_csv")

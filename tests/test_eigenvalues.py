@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsgflow import GeometryError, RootScanError, approx_roots, cross_b1, eigenvalues, find_roots
+from gsgflow import GeometryError, RootScanError, cross_b1, eigenvalues, find_roots
 
 
 def dense_scan_roots(R1, R2, r_max, step_divisor=100):
@@ -95,19 +95,7 @@ class TestFindRoots:
             find_roots(1.0, 4.0, 0)
 
 
-class TestApproxRoots:
-    def test_exact_asymptotic_values(self):
-        eig = approx_roots(1.0, 4.0, 5)
-        want = np.arange(1, 6) * math.pi / 3.0
-        assert np.array_equal(eig.roots, want)
-
-    def test_residuals_reported_for_approximation(self):
-        eig = approx_roots(1.0, 4.0, 5)
-        # the asymptotic guesses are not actual roots for low n
-        assert eig.residuals[0] > 1e-4
-
-
-@pytest.mark.parametrize("solve", [find_roots, approx_roots])
+@pytest.mark.parametrize("solve", [find_roots])
 class TestRequestChecks:
     @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3"])
     def test_non_integer_count_refused(self, solve, n_max):
@@ -244,13 +232,6 @@ class TestAgainstScalarReference:
         monkeypatch.setattr(eigenvalues, "_f", lambda r, R1, R2: np.sin(3.0 * r))
         monkeypatch.setattr(eigenvalues, "_fprime", lambda r, R1, R2: slope + 0.0 * r)
         assert_matches_reference(1.0, 4.0, 20)
-
-    @pytest.mark.parametrize("R1, R2, n_max", [(1.0, 4.0, 50), (1.0, 40.0, 800),
-                                               (0.05, 4.0, 100)])
-    def test_approx_residuals_bit_identical(self, R1, R2, n_max):
-        eig = approx_roots(R1, R2, n_max)
-        want = np.abs([eigenvalues._f(r, R1, R2) for r in eig.roots])
-        assert np.array_equal(eig.residuals, want)
 
 
 class TestRootScanError:

@@ -1,7 +1,6 @@
 """Finite-difference oracle tests: weight recurrences, exact special
 cases, discrete structure, and self-convergence."""
 
-import io
 import math
 
 import numpy as np
@@ -24,19 +23,19 @@ GEOM = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=3.0, Omega2=1.5)
 
 class TestGLWeights:
     def test_beta_one_is_first_difference(self):
-        w = gl_weights(1.0, 10).weights
+        w = gl_weights(1.0, 10)
         assert w[0] == 1.0
         assert w[1] == -1.0
         assert np.all(w[2:] == 0.0)
 
     def test_half_order_values(self):
-        w = gl_weights(0.5, 2).weights
+        w = gl_weights(0.5, 2)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(-0.5, abs=0.0)
         assert w[2] == pytest.approx(-0.125, abs=0.0)
 
     def test_recurrence_holds_exactly_as_computed(self):
-        w = gl_weights(0.37, 200).weights
+        w = gl_weights(0.37, 200)
         for k in range(1, 201):
             assert w[k] == w[k - 1] * (1.0 - (0.37 + 1.0) / k)
 
@@ -44,7 +43,7 @@ class TestGLWeights:
         # sum_{k<=m} w_k = Gamma(m+1-beta) / (Gamma(1-beta) Gamma(m+1)),
         # positive and falling like m^-beta
         for beta in (0.3, 0.7):
-            w = gl_weights(beta, 10_000).weights
+            w = gl_weights(beta, 10_000)
             partial = np.cumsum(w)
             assert np.all(partial > 0.0)
             assert np.all(np.diff(np.abs(partial)) <= 0.0)
@@ -140,16 +139,3 @@ class TestFieldGrid:
             fd.at(0.5, 0.1)
         with pytest.raises(DomainError):
             fd.at(2.0, 9.0)
-
-    def test_csv_dump_shape(self):
-        p = FluidParams(mu=1.48, alpha1=11.34, rho=1260.0, beta=0.5)
-        fd = solve(p, GEOM, GridSpec(nr=8, dt=0.1, t_end=0.2))
-        buf = io.StringIO()
-        fd.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "r,t,omega"
-        assert len(lines) == 1 + len(fd.t) * len(fd.r)
-        first = lines[1].split(",")
-        assert float(first[0]) == 1.0
-        assert float(first[1]) == 0.0
-        assert float(first[2]) == 0.0

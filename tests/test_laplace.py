@@ -14,11 +14,10 @@ import pytest
 
 import gsgflow
 from gsgflow import laplace
-from gsgflow.laplace import invert
+from gsgflow.laplace import ModeTransform, invert
 
 from gsgflow import (
     DomainError,
-    ModeTransform,
     find_roots,
     invert_mode_stress_kernel,
     invert_mode_velocity_kernel,

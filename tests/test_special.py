@@ -1,27 +1,27 @@
 """Special function tests.
 
 Independent oracles used here: a power-series J0 with bisection for its
-first zero, extended-precision Bessel evaluation through mpmath, and
-mpmath's Talbot inversion at 30 digits for the G-function cross-check.
+first zero (checking scipy's j0, which the cross-products call),
+extended-precision Bessel evaluation through mpmath, and mpmath's Talbot
+inversion at 30 digits for the G-function cross-check.
 """
 
 import itertools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0, j1, y0, y1
 
 from gsgflow import (
     DomainError,
     GFunctionArgs,
     NonConvergenceError,
     SeriesControls,
-    SignedLogAccumulator,
-    SignedLogValue,
-    bessel,
     cross_b,
     cross_b1,
     find_roots,
@@ -54,40 +54,24 @@ def bisect(f, lo, hi, iters=200):
 
 class TestBessel:
     def test_j_at_zero(self):
-        assert bessel("J", 0, 0.0) == 1.0
-        assert bessel("J", 1, 0.0) == 0.0
+        assert j0(0.0) == 1.0
+        assert j1(0.0) == 0.0
 
     def test_first_j0_zero_against_series_oracle(self):
         # locate the first zero of J0 by bisecting the independent series
         zero = bisect(j0_power_series, 2.0, 3.0)
         assert abs(zero - 2.404825557695773) < 1e-12
-        assert abs(bessel("J", 0, zero)) < 1e-10
+        assert abs(j0(zero)) < 1e-10
 
     def test_matches_series_oracle_on_moderate_arguments(self):
         for x in (0.5, 1.0, 2.5, 4.0, 7.0):
-            assert bessel("J", 0, x) == pytest.approx(j0_power_series(x), abs=1e-12)
-
-    def test_y_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            bessel("Y", 0, 0.0)
-        with pytest.raises(DomainError):
-            bessel("Y", 1, -1.0)
-
-    def test_j_rejects_negative(self):
-        with pytest.raises(DomainError):
-            bessel("J", 0, -0.5)
-
-    def test_bad_kind_and_order(self):
-        with pytest.raises(ValueError):
-            bessel("K", 0, 1.0)
-        with pytest.raises(ValueError):
-            bessel("J", 2, 1.0)
+            assert j0(x) == pytest.approx(j0_power_series(x), abs=1e-12)
 
     def test_wronskian_identity(self):
         # J0(z) Y1(z) - J1(z) Y0(z) = -2 / (pi z)
-        for z in np.logspace(math.log10(0.1), math.log10(100.0), 200):
-            lhs = bessel("J", 0, z) * bessel("Y", 1, z) - bessel("J", 1, z) * bessel("Y", 0, z)
-            assert abs(lhs + 2.0 / (math.pi * z)) < 1e-11
+        z = np.logspace(math.log10(0.1), math.log10(100.0), 200)
+        lhs = j0(z) * y1(z) - j1(z) * y0(z)
+        assert np.max(np.abs(lhs + 2.0 / (math.pi * z))) < 1e-11
 
 
 class TestCrossProducts:
@@ -139,75 +123,6 @@ class TestCrossProducts:
                     assert block[i, j] == fn(float(x), float(y), 4.0)
 
 
-class TestSignedLogValue:
-    def test_zero_round_trip(self):
-        v = SignedLogValue.from_float(0.0)
-        assert v.sign == 0
-        assert v.to_float() == 0.0
-
-    def test_round_trip_ulp_scale(self):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            x = float(rng.uniform(-1.0, 1.0)) * 10.0 ** float(rng.uniform(-250, 250))
-            if x == 0.0:
-                continue
-            back = SignedLogValue.from_float(x).to_float()
-            assert back == pytest.approx(x, rel=1e-12)
-            assert math.copysign(1.0, back) == math.copysign(1.0, x)
-
-    def test_sign_zero_iff_zero(self):
-        assert SignedLogValue.from_float(3.5).sign == 1
-        assert SignedLogValue.from_float(-3.5).sign == -1
-        assert SignedLogValue.from_float(0.0).sign == 0
-
-
-def accumulate(values):
-    acc = SignedLogAccumulator()
-    for v in values:
-        acc.add(v.log_magnitude, v.sign)
-    return acc.total()
-
-
-class TestSignedLogAccumulation:
-    def test_matches_compensated_summation_when_shuffled(self):
-        # mixed-sign sequences with condition number up to 1e6: the
-        # accumulator must agree with fsum of the same materialized terms
-        rng = np.random.default_rng(42)
-        for trial in range(30):
-            n = int(rng.integers(10, 300))
-            logs = rng.uniform(-3.0, 10.0, size=n)
-            signs = rng.choice([-1, 1], size=n)
-            values = [SignedLogValue(float(l), int(s)) for l, s in zip(logs, signs)]
-            reference = math.fsum(v.to_float() for v in values)
-            magnitude = math.fsum(abs(v.to_float()) for v in values)
-            if reference == 0.0 or magnitude / abs(reference) > 1e6:
-                continue
-            shuffled = list(values)
-            rng.shuffle(shuffled)
-            got = accumulate(shuffled).to_float()
-            assert got == pytest.approx(reference, rel=1e-12)
-
-    def test_handles_terms_beyond_double_range(self):
-        # two huge terms nearly cancel; their difference is representable
-        big = 800.0  # e^800 overflows a double
-        vals = [SignedLogValue(big, 1), SignedLogValue(big - 1e-6, -1)]
-        got = accumulate(vals)
-        assert got.sign == 1
-        # exact: log(e^800 (1 - e^-1e-6)) = 800 + log1p(-exp(-1e-6));
-        # the gap 1e-6 is itself stored to ulp(800) ~ 1e-13, which the
-        # cancellation amplifies by 1/gap, so 1e-6 on the log is the
-        # attainable agreement
-        want = big + math.log(-math.expm1(-1e-6))
-        assert got.log_magnitude == pytest.approx(want, abs=1e-6)
-
-    def test_condition_estimate(self):
-        acc = SignedLogAccumulator()
-        acc.add(10.0, 1)
-        acc.add(10.0, -1)
-        acc.add(0.0, 1)
-        assert acc.condition(acc.total()) == pytest.approx(math.exp(10.0), rel=1e-9)
-
-
 def single(*entries):
     """Steps of one term each, one (log magnitude, sign) entry per term."""
     return [(1, (entry,)) for entry in entries]
@@ -248,10 +163,10 @@ class TestSumSeries:
             assert not math.isnan(exc.partial_sum)
             assert terms > max_terms or "cancellation" in str(exc)
             return
-        # the accumulator's total is log|fsum| of the materialized terms,
-        # bit for bit; the float returned is that signed-log value
+        # the sum is the fsum of the materialized terms, returned through
+        # its signed-log form sign * exp(log |fsum|)
         want = math.fsum(s * math.exp(l) for l, s in consumed)
-        assert got == SignedLogValue.from_float(want).to_float()
+        assert got == math.copysign(math.exp(math.log(abs(want))), want)
         assert max(math.exp(l) for l, _ in consumed) <= CANCELLATION_LIMIT * abs(want)
 
     def test_quiet_run_may_finish_one_step_past_the_cap(self):
@@ -284,6 +199,50 @@ class TestSumSeries:
         with pytest.raises(NonConvergenceError) as exc_info:
             _sum_series(steps, SeriesControls(max_terms=2), "s")
         assert exc_info.value.partial_sum == -math.inf
+
+
+class TestSignedLogAccumulation:
+    """The (log magnitude, sign) accumulation inside _sum_series."""
+
+    def test_matches_compensated_summation_when_shuffled(self):
+        # mixed-sign sequences with condition number up to 1e6: the sum
+        # must agree with fsum of the same materialized terms; the head is
+        # one step so the quiet rule cannot stop inside it
+        rng = np.random.default_rng(42)
+        for trial in range(30):
+            n = int(rng.integers(10, 300))
+            logs = rng.uniform(-3.0, 10.0, size=n)
+            signs = rng.choice([-1, 1], size=n)
+            entries = [(float(l), int(s)) for l, s in zip(logs, signs)]
+            reference = math.fsum(s * math.exp(l) for l, s in entries)
+            magnitude = math.fsum(math.exp(l) for l, _ in entries)
+            if reference == 0.0 or magnitude / abs(reference) > 1e6:
+                continue
+            rng.shuffle(entries)
+            steps = itertools.chain([(n, entries)], quiet_tail())
+            got = _sum_series(steps, SeriesControls(), "s")
+            assert got == pytest.approx(reference, rel=1e-12)
+
+    def test_handles_terms_beyond_double_range(self):
+        # the largest term overflows a double but the sum does not: every
+        # term is scaled by one shift e^-(705 - 350) before the fsum
+        entries = [(705.0, 1), (704.0, -1)]
+        steps = itertools.chain(single(*entries), quiet_tail())
+        got = _sum_series(steps, SeriesControls(), "s")
+        shift = 705.0 - 350.0
+        tot = math.fsum(s * math.exp(l - shift) for l, s in [*entries, (-60.0, 1), (-70.0, 1),
+                                                             (-80.0, 1)])
+        assert got == math.exp(shift + math.log(tot))
+        assert got == pytest.approx(math.exp(704.0) * math.expm1(1.0), rel=1e-13)
+
+    def test_condition_estimate(self):
+        # condition = max|term| / |sum|: e^10 is within the budget and the
+        # sum is kept; e^30 is past it and the refusal reports the estimate
+        steps = itertools.chain(single((10.0, 1), (10.0, -1), (0.0, 1)), quiet_tail())
+        assert _sum_series(steps, SeriesControls(), "s") == pytest.approx(1.0, rel=1e-12)
+        steps = itertools.chain(single((30.0, 1), (30.0, -1), (0.0, 1)), quiet_tail())
+        with pytest.raises(NonConvergenceError, match=re.escape(f"condition ~ {math.exp(30.0):.2e}")):
+            _sum_series(steps, SeriesControls(), "s")
 
 
 class TestGFunction:
