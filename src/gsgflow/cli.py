@@ -65,7 +65,6 @@ from .errors import (
 from .solution import AnnulusGeometry, FluidParams, field_block
 # unused here but traced on this module by perfbench/spans.py; ROADMAP item 1 removes the need
 from .solution import shear_stress, velocity, velocity_sg_closed  # noqa: F401
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -320,6 +319,8 @@ def cmd_stress(config: RunConfig, args) -> int:
 
 
 def cmd_validate(config: RunConfig, args) -> int:
+    from .validate import run_validation
+
     report = run_validation(config.params, config.geometry, level=args.level,
                             grid=config.grid)
     doc = report.to_dict()

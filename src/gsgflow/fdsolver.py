@@ -6,11 +6,17 @@ truncation: desk-scale horizons keep the O(M^2) convolution affordable and
 avoid an extra error knob). Second-order central differences in space on a
 uniform grid; Dirichlet wall values are imposed exactly at every level.
 
+The spatial operator L is linear, so the history term sum_k w_k L u^{m+1-k}
+is L applied once to the weighted sum of the stored velocity levels: the
+returned field is the only history kept. The implicit matrix does not
+change from step to step, so it is factored once and each step is one
+tridiagonal back-substitution.
+
 The zero initial state makes the Riemann-Liouville derivative coincide
 with the Grunwald-Letnikov form, so the weights discretize the governing
-operator directly. For beta = 1 the weights reduce to {1, -1, 0, ...} and
-the scheme becomes the standard implicit method for the ordinary second
-grade equation.
+operator directly. For beta = 1 the weights reduce to {1, -1} and the
+scheme becomes the standard implicit method for the ordinary second grade
+equation.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError
 from .solution import AnnulusGeometry, FluidParams
@@ -83,12 +88,15 @@ def solve(params: FluidParams, geometry: AnnulusGeometry, grid: GridSpec) -> Fie
     """March the implicit scheme over the full horizon.
 
     Each step solves (I - dt*nu*L - dt^(1-beta)*alpha*L) u^{m+1} =
-    u^m + dt^(1-beta)*alpha*L-history convolution, with L the central
+    u^m + dt^(1-beta)*alpha*L(sum_{k>=1} w_k u^{m+1-k}), with L the central
     discretization of (d^2/dr^2 + (1/r) d/dr - 1/r^2) and the wall values
-    folded into the right-hand side.
+    folded into the right-hand side. The weighted sum runs over the stored
+    levels, walls included, and the tridiagonal matrix is factored once
+    before the first step. A singular matrix or a non-finite step raises
+    RuntimeError.
     """
-    if not 0.0 < params.beta <= 1.0:
-        raise DomainError("beta must lie in (0, 1]")
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     R1, R2 = geometry.R1, geometry.R2
     nr, dt = grid.nr, grid.dt
     n_steps = int(round(grid.t_end / dt))
@@ -100,47 +108,35 @@ def solve(params: FluidParams, geometry: AnnulusGeometry, grid: GridSpec) -> Fie
     dia = -2.0 / dr**2 - 1.0 / ri**2
     sup = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
 
-    w = gl_weights(params.beta, n_steps)
-    w_rev = w[::-1].copy()
-    nonzero = np.nonzero(w)[0]
-    last_w = int(nonzero[-1]) if nonzero.size else 0
+    # w_depth..w_1, oldest level's weight first (contiguous: matmul then
+    # takes the BLAS path); beta = 1 leaves {-1}
+    w = np.trim_zeros(gl_weights(params.beta, n_steps), "b")
+    w_rev = w[:0:-1].copy()
+    depth = w_rev.size
 
     c_frac = params.alpha * dt ** (1.0 - params.beta)
     c_imp = params.nu * dt + c_frac  # w_0 = 1 folded in
 
-    ab = np.zeros((3, nr))
-    ab[0, 1:] = -c_imp * sup[:-1]
-    ab[1, :] = 1.0 - c_imp * dia
-    ab[2, :-1] = -c_imp * sub[1:]
+    *factor, info = dgttrf(-c_imp * sub[1:], 1.0 - c_imp * dia, -c_imp * sup[:-1])
+    if info != 0:
+        raise RuntimeError(f"tridiagonal factorization failed: info={info}")
 
     omega = np.zeros((n_steps + 1, nr + 2))
-    lap_hist = np.zeros((n_steps + 1, nr))
-
-    def lap(full_row):
-        return sub * full_row[:-2] + dia * full_row[1:-1] + sup * full_row[2:]
-
     for m in range(n_steps):
         t_new = (m + 1) * dt
         wall1 = R1 * geometry.Omega1 * t_new
         wall2 = R2 * geometry.Omega2 * t_new
-        k_hist = min(m + 1, last_w)
-        if k_hist > 0:
-            # sum_{k=1}^{k_hist} w_k * L u^{m+1-k}, newest level last
-            w_slice = w_rev[n_steps - k_hist : n_steps]
-            conv = w_slice @ lap_hist[m + 1 - k_hist : m + 1]
-        else:
-            conv = 0.0
-        rhs = omega[m, 1:-1] + c_frac * conv
+        k = min(m + 1, depth)
+        hist = w_rev[depth - k :] @ omega[m + 1 - k : m + 1]
+        rhs = omega[m, 1:-1] + c_frac * (sub * hist[:-2] + dia * hist[1:-1] + sup * hist[2:])
         rhs[0] += c_imp * sub[0] * wall1
         rhs[-1] += c_imp * sup[-1] * wall2
-        try:
-            interior = solve_banded((1, 1), ab, rhs)
-        except Exception as exc:  # scipy raises LinAlgError on breakdown
-            raise RuntimeError(f"linear solve failed at step {m + 1}: {exc}") from exc
+        interior = dgttrs(*factor, rhs)[0]
+        if not np.isfinite(interior).all():
+            raise RuntimeError(f"linear solve failed at step {m + 1}: non-finite values")
         omega[m + 1, 0] = wall1
         omega[m + 1, 1:-1] = interior
         omega[m + 1, -1] = wall2
-        lap_hist[m + 1] = lap(omega[m + 1])
 
     t = np.arange(n_steps + 1) * dt
     return FieldGrid(r=r, t=t, omega=omega)

@@ -2,9 +2,11 @@
 cases, discrete structure, and self-convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from gsgflow import (
     AnnulusGeometry,
@@ -19,6 +21,60 @@ from gsgflow import (
 from gsgflow.fdsolver import solve
 
 GEOM = AnnulusGeometry(R1=1.0, R2=4.0, Omega1=3.0, Omega2=1.5)
+
+
+def reference_solve(params, geometry, grid):
+    """The step loop `solve` replaced, kept as its reference: a second history
+    array of Laplacians L u^k convolved with the weights, and a banded solve
+    of the same matrix at every step."""
+    R1, R2 = geometry.R1, geometry.R2
+    nr, dt = grid.nr, grid.dt
+    n_steps = int(round(grid.t_end / dt))
+    r = np.linspace(R1, R2, nr + 2)
+    dr = (R2 - R1) / (nr + 1)
+    ri = r[1:-1]
+
+    sub = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
+    dia = -2.0 / dr**2 - 1.0 / ri**2
+    sup = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
+
+    w = gl_weights(params.beta, n_steps)
+    w_rev = w[::-1].copy()
+    nonzero = np.nonzero(w)[0]
+    last_w = int(nonzero[-1]) if nonzero.size else 0
+
+    c_frac = params.alpha * dt ** (1.0 - params.beta)
+    c_imp = params.nu * dt + c_frac
+
+    ab = np.zeros((3, nr))
+    ab[0, 1:] = -c_imp * sup[:-1]
+    ab[1, :] = 1.0 - c_imp * dia
+    ab[2, :-1] = -c_imp * sub[1:]
+
+    omega = np.zeros((n_steps + 1, nr + 2))
+    lap_hist = np.zeros((n_steps + 1, nr))
+
+    def lap(full_row):
+        return sub * full_row[:-2] + dia * full_row[1:-1] + sup * full_row[2:]
+
+    for m in range(n_steps):
+        t_new = (m + 1) * dt
+        wall1 = R1 * geometry.Omega1 * t_new
+        wall2 = R2 * geometry.Omega2 * t_new
+        k_hist = min(m + 1, last_w)
+        if k_hist > 0:
+            w_slice = w_rev[n_steps - k_hist : n_steps]
+            conv = w_slice @ lap_hist[m + 1 - k_hist : m + 1]
+        else:
+            conv = 0.0
+        rhs = omega[m, 1:-1] + c_frac * conv
+        rhs[0] += c_imp * sub[0] * wall1
+        rhs[-1] += c_imp * sup[-1] * wall2
+        omega[m + 1, 0] = wall1
+        omega[m + 1, 1:-1] = solve_banded((1, 1), ab, rhs)
+        omega[m + 1, -1] = wall2
+        lap_hist[m + 1] = lap(omega[m + 1])
+    return omega
 
 
 class TestGLWeights:
@@ -129,6 +185,42 @@ class TestSolve:
             vals.append(fd.at(1.75, 1.0))
         order = math.log2(abs(vals[0] - vals[1]) / abs(vals[1] - vals[2]))
         assert 1.7 <= order <= 2.3
+
+    def test_field_is_the_only_history(self):
+        p = FluidParams(mu=1.48, alpha1=11.34, rho=1260.0, beta=0.5)
+        grid = GridSpec(nr=64, dt=1e-3, t_end=2.0)
+        solve(p, GEOM, GridSpec(nr=8, dt=0.1, t_end=0.2))  # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            fd = solve(p, GEOM, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * fd.omega.nbytes
+
+    def test_non_finite_solve_refused(self):
+        # nu = mu/rho overflows to inf; the field would be NaN from step 1
+        p = FluidParams(mu=1e308, alpha1=11.34, rho=1e-300, beta=0.5)
+        with pytest.raises(RuntimeError, match="step 1"):
+            solve(p, GEOM, GridSpec(nr=16, dt=1e-2, t_end=0.1))
+
+
+class TestReferenceLoop:
+    GRID = GridSpec(nr=64, dt=2e-3, t_end=2.0)
+
+    @pytest.mark.parametrize("alpha1", [11.34, 0.0])
+    def test_beta_one_bit_identical(self, alpha1):
+        p = FluidParams(mu=1.48, alpha1=alpha1, rho=1260.0, beta=1.0)
+        got = solve(p, GEOM, self.GRID).omega
+        assert np.array_equal(got, reference_solve(p, GEOM, self.GRID))
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.999])
+    def test_fractional_within_roundoff(self, beta):
+        p = FluidParams(mu=1.48, alpha1=11.34, rho=1260.0, beta=beta)
+        got = solve(p, GEOM, self.GRID).omega
+        want = reference_solve(p, GEOM, self.GRID)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestFieldGrid:
     def test_probe_interpolation_and_domain(self):

@@ -165,3 +165,15 @@ def test_package_import_does_not_load_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_linalg_or_validate():
+    # the FD solver imports its LAPACK pair on first use, the CLI validate on demand
+    src = str(Path(gsgflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, gsgflow, gsgflow.cli; "
+            "print(sorted({'scipy.linalg', 'gsgflow.validate'} & set(sys.modules)), "
+            "callable(gsgflow.solve))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[] True"
